@@ -284,7 +284,9 @@ def tvd(hist_a: dict[str, int], hist_b: dict[str, int]) -> float:
     na, nb = sum(hist_a.values()), sum(hist_b.values())
     if na == 0 or nb == 0:
         raise ValueError("empty histogram")
-    keys = set(hist_a) | set(hist_b)
+    # Sorted keys fix the summation order, so the float does not depend on
+    # the interpreter's string-hash seed.
+    keys = sorted(set(hist_a) | set(hist_b))
     return 0.5 * sum(abs(hist_a.get(k, 0) / na - hist_b.get(k, 0) / nb) for k in keys)
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmcmc
 from qmcmc.errors import SchemaError
 from qmcmc.experiments import (
     EXPERIMENT_NAMES,
@@ -98,6 +103,29 @@ class TestReports:
         a = run_with_comparison(spec).to_json()
         b = run_with_comparison(spec).to_json()
         assert a == b
+
+    def test_byte_identical_across_hash_seeds(self):
+        # Reports must not depend on set or dict iteration order, which
+        # follows PYTHONHASHSEED and so differs between interpreters.
+        script = (
+            "from qmcmc.experiments import ExperimentSpec, run_with_comparison\n"
+            "from qmcmc.noise import NoiseModel\n"
+            "noise = NoiseModel(p1=2e-5, p2=5e-3, p_meas=1e-3)\n"
+            "for name in ('cswap-state-prep', 'dual-eigenstate', 'szegedy-state-prep'):\n"
+            "    spec = ExperimentSpec(name, shots=2000, seed=3, noise=noise)\n"
+            "    print(run_with_comparison(spec).to_json())\n"
+        )
+        src = str(Path(qmcmc.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=300, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_histogram_totals_equal_shots(self):
         for name in ("lcu-state-prep", "szegedy-state-prep", "dual-overlap"):
