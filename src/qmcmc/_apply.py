@@ -1,14 +1,22 @@
 """Low-level dense gate application on raw amplitude arrays.
 
 Amplitude arrays are indexed with the leftmost qubit of the register order as
-the most significant bit of the basis-state index.  All functions accept an
-optional leading batch axis so that many statevectors (e.g. noise
-trajectories) can be evolved in lockstep.
+the most significant bit of the basis-state index.  The kernel works on
+batch-first arrays of shape ``(B, 2, ..., 2)``: axis 0 holds B independent
+statevectors (noise trajectories, or the basis columns of a unitary) and axis
+q + 1 is qubit q.  ``apply_matrix`` is the entry for one flat state of shape
+``(2**n,)``, ``apply_matrix_nd`` the entry for a batch, and ``evolve`` runs a
+batch through a sequence of ``(matrix, targets, controls)`` gates such as
+``Circuit.gates()``.  No entry mutates its input.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
+
+Gate = tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]
 
 
 def apply_matrix(
@@ -17,68 +25,58 @@ def apply_matrix(
     targets: tuple[int, ...],
     controls: tuple[int, ...],
     num_qubits: int,
-    batched: bool = False,
 ) -> np.ndarray:
-    """Apply ``mat`` to the target qubits, conditioned on all controls being 1.
+    """Apply ``mat`` to the target qubits of one flat state, conditioned on all
+    controls being 1; returns a new ``(2**n,)`` array."""
+    out = _apply(amps.reshape((1,) + (2,) * num_qubits), mat, targets, controls)
+    return out.reshape(amps.shape)
 
-    ``amps`` has shape ``(2**n,)`` or ``(B, 2**n)`` with ``batched=True``.
-    Returns a new array; the input is never mutated.
-    """
+
+def apply_matrix_nd(
+    arr: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], controls: tuple[int, ...]
+) -> np.ndarray:
+    """Gate application on a batch-first ``(B, 2, ..., 2)`` array."""
+    return _apply(arr, mat, targets, controls)
+
+
+def evolve(batch: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
+    """Apply each ``(matrix, targets, controls)`` gate to a batch-first array, in order."""
+    for mat, targets, controls in gates:
+        batch = apply_matrix_nd(batch, mat, targets, controls)
+    return batch
+
+
+def _apply(
+    arr: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], controls: tuple[int, ...]
+) -> np.ndarray:
     k = len(targets)
     if mat.shape != (2**k, 2**k):
         raise ValueError(f"matrix shape {mat.shape} does not address {k} qubits")
-    offset = 1 if batched else 0
-    shape = ((-1,) if batched else ()) + (2,) * num_qubits
-
-    if controls:
-        arr = amps.reshape(shape).copy()
-        sel = [slice(None)] * (num_qubits + offset)
-        for c in controls:
-            sel[c + offset] = 1
-        sel = tuple(sel)
-        # Control axes are dropped in the sliced view; remap target positions.
-        remaining = [q for q in range(num_qubits) if q not in controls]
-        sub_targets = tuple(remaining.index(t) for t in targets)
-        arr[sel] = _apply_to_block(arr[sel], mat, sub_targets, len(remaining), offset)
-    else:
+    if not controls:
         # No in-place writes happen on this path, so a view suffices.
-        arr = _apply_to_block(amps.reshape(shape), mat, targets, num_qubits, offset)
-    return arr.reshape(amps.shape)
+        return _apply_to_block(arr, mat, targets)
+    n = arr.ndim - 1
+    out = arr.copy()
+    sel = [slice(None)] * (n + 1)
+    for c in controls:
+        sel[c + 1] = 1
+    sel = tuple(sel)
+    # Control axes are dropped in the sliced view; remap target positions.
+    remaining = [q for q in range(n) if q not in controls]
+    sub_targets = tuple(remaining.index(t) for t in targets)
+    out[sel] = _apply_to_block(out[sel], mat, sub_targets)
+    return out
 
 
-def _apply_to_block(
-    block: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], n: int, offset: int
-) -> np.ndarray:
+def _apply_to_block(block: np.ndarray, mat: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     k = len(targets)
-    src = [t + offset for t in targets]
+    src = [t + 1 for t in targets]
     dst = list(range(block.ndim - k, block.ndim))
     moved = np.moveaxis(block, src, dst)
     moved_shape = moved.shape
     flat = moved.reshape(-1, 2**k)
     out = flat @ mat.T
     return np.moveaxis(out.reshape(moved_shape), dst, src)
-
-
-def apply_matrix_nd(
-    arr: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], controls: tuple[int, ...]
-) -> np.ndarray:
-    """Gate application on an already-ND amplitude array (batch axis first).
-
-    Used by the batched trajectory engine to avoid per-gate flat/ND round
-    trips; the input is not mutated.
-    """
-    n = arr.ndim - 1
-    if controls:
-        out = arr.copy()
-        sel = [slice(None)] * (n + 1)
-        for c in controls:
-            sel[c + 1] = 1
-        sel = tuple(sel)
-        remaining = [q for q in range(n) if q not in controls]
-        sub_targets = tuple(remaining.index(t) for t in targets)
-        out[sel] = _apply_to_block(out[sel], mat, sub_targets, len(remaining), 1)
-        return out
-    return _apply_to_block(arr, mat, targets, n, 1)
 
 
 def marginal_probabilities(

@@ -12,11 +12,12 @@ whose phases are multiples of 1/2^t.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import atan2, cos, pi, sqrt
 
 import numpy as np
 
-from ._apply import apply_matrix, marginal_probabilities
+from ._apply import evolve, marginal_probabilities
 from .circuit import Circuit, controlled, unitary_of
 from .config import DEFAULT_NUMERICS, NumericsConfig
 from .spue import WalkOperator
@@ -26,6 +27,9 @@ from .statevector import (
     post_select,
     sample_from_probabilities,
 )
+
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 # -- function oracles ----------------------------------------------------------
@@ -189,36 +193,23 @@ def phase_estimation(
     dim = input_state.dim
     if isinstance(unitary, Circuit):
         circ, wires = qpe_circuit(unitary, t)
-        final = _run_unitary_ops(circ, input_state)
-        k_weights = {w: t - 1 - j for j, w in enumerate(wires)}
-        wire_index = [circ.index_of(w) for w in wires]
+        gates = circ.gates()
+        wire_index = tuple(circ.index_of(w) for w in wires)
     else:
         u = np.asarray(unitary, dtype=complex)
         if u.shape != (dim, dim):
             raise ValueError("unitary dimension does not match input state")
-        amps = np.zeros(2**t * dim, dtype=complex)
-        amps[:dim] = input_state.amps  # phase register |0...0>
-        n_total = t + n_sys
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        for j in range(t):
-            amps = apply_matrix(amps, h, (j,), (), n_total)
-        power = u.copy()
-        for j in range(t):
-            amps = apply_matrix(
-                amps, power, tuple(range(t, n_total)), (j,), n_total
-            )
-            power = power @ power
         iqft = Circuit([f"ph{j}" for j in range(t)])
         inverse_qft_ops(iqft, list(iqft.qubits))
-        for op in iqft.ops:
-            targets = tuple(iqft.index_of(q) for q in op.targets)
-            ctrls = tuple(iqft.index_of(q) for q in op.controls)
-            amps = apply_matrix(amps, op.base_matrix(), targets, ctrls, n_total)
-        final = from_amplitudes(amps)
-        k_weights = {f"ph{j}": t - 1 - j for j in range(t)}
-        wire_index = list(range(t))
+        gates = chain(
+            ((_H, (j,), ()) for j in range(t)),
+            _controlled_powers(u, t, tuple(range(t, t + n_sys))),
+            iqft.gates(),
+        )
+        wire_index = tuple(range(t))
 
-    probs = marginal_probabilities(final.amps, tuple(wire_index), final.num_qubits)
+    final = evolve(_padded(input_state, t), gates)
+    probs = marginal_probabilities(final, wire_index, t + n_sys)
     raw = sample_from_probabilities(probs, t, shots, seed)
     histogram: dict[int, int] = {}
     for bits, count in raw.items():
@@ -227,15 +218,19 @@ def phase_estimation(
     return PhaseEstimate(t, histogram)
 
 
-def _run_unitary_ops(circ: Circuit, input_state: StateVector) -> StateVector:
-    """Apply a measurement-free circuit to (leading zeros) (x) input."""
-    amps = np.zeros(2**circ.num_qubits, dtype=complex)
-    amps[: input_state.dim] = input_state.amps
-    for op in circ.ops:
-        targets = tuple(circ.index_of(q) for q in op.targets)
-        controls = tuple(circ.index_of(q) for q in op.controls)
-        amps = apply_matrix(amps, op.base_matrix(), targets, controls, circ.num_qubits)
-    return from_amplitudes(amps)
+def _controlled_powers(u: np.ndarray, t: int, system: tuple[int, ...]):
+    """u^(2^j) on the system register, controlled by phase wire j, for j < t."""
+    power = u
+    for j in range(t):
+        yield power, system, (j,)
+        power = power @ power
+
+
+def _padded(state: StateVector, extra: int) -> np.ndarray:
+    """|0...0> (x) state with ``extra`` leading qubits, as a batch of one."""
+    amps = np.zeros(2**extra * state.dim, dtype=complex)
+    amps[: state.dim] = state.amps
+    return amps.reshape((1,) + (2,) * (extra + state.num_qubits))
 
 
 def qpe_point_mass_distribution(phase: float, t: int) -> np.ndarray:
@@ -267,14 +262,9 @@ def prepare_stationary(
     if reflection_power < 1:
         raise ValueError("reflection power must be >= 1")
     w_pow = np.linalg.matrix_power(walk.total, reflection_power)
-    n = walk.num_qubits + 1
-    amps = np.zeros(2**n, dtype=complex)
-    amps[: initial.dim] = initial.amps
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    amps = apply_matrix(amps, h, (0,), (), n)
-    amps = apply_matrix(amps, w_pow, tuple(range(1, n)), (0,), n)
-    amps = apply_matrix(amps, h, (0,), (), n)
-    state = from_amplitudes(amps)
+    system = tuple(range(1, initial.num_qubits + 1))
+    gates = ((_H, (0,), ()), (w_pow, system, (0,)), (_H, (0,), ()))
+    state = from_amplitudes(evolve(_padded(initial, 1), gates).reshape(-1))
     selected, prob = post_select(state, 0, 0, config)
     kept = selected.amps[: initial.dim]
     return from_amplitudes(kept / np.linalg.norm(kept)), prob

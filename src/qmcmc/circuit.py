@@ -16,11 +16,11 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import cos, sin
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._apply import apply_matrix
+from ._apply import Gate, evolve
 from .errors import AddressingError, NotUnitary, SchemaError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -294,6 +294,21 @@ class Circuit:
     def index_of(self, name: str) -> int:
         return self._index[name]
 
+    def gates(self) -> Iterator[Gate]:
+        """Each unitary op as ``(matrix, target indices, control indices)``, in order.
+
+        Measure and reset ops are skipped.  The op's qubit order
+        ``controls + targets`` matches ``GateApplication.qubits``.  Matrices
+        are built lazily, one op at a time, so long circuits never hold them
+        all at once.
+        """
+        index = self._index
+        for op in self._ops:
+            if op.kind not in NON_UNITARY_KINDS:
+                targets = tuple(index[q] for q in op.targets)
+                controls = tuple(index[q] for q in op.controls)
+                yield op.base_matrix(), targets, controls
+
     def has_measurement(self) -> bool:
         return any(op.kind in NON_UNITARY_KINDS for op in self._ops)
 
@@ -384,16 +399,11 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the ordered gate product; measurements are rejected."""
     if circuit.has_measurement():
         raise NotUnitary("circuit contains measurement or reset")
-    n = circuit.num_qubits
-    dim = 2**n
+    dim = 2**circuit.num_qubits
     # Row b of the batch is the evolution of basis state |b>; the circuit
     # unitary has those as columns.
-    batch = np.eye(dim, dtype=complex)
-    for op in circuit.ops:
-        targets = tuple(circuit.index_of(q) for q in op.targets)
-        controls = tuple(circuit.index_of(q) for q in op.controls)
-        batch = apply_matrix(batch, op.base_matrix(), targets, controls, n, batched=True)
-    return batch.T.copy()
+    batch = np.eye(dim, dtype=complex).reshape((dim,) + (2,) * circuit.num_qubits)
+    return evolve(batch, circuit.gates()).reshape(dim, dim).T.copy()
 
 
 def controlled(circuit: Circuit, control: str) -> Circuit:

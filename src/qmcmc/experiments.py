@@ -21,7 +21,7 @@ from .algorithms import FunctionOracle, mean_estimate_from_phase
 from .circuit import Circuit
 from .errors import SchemaError
 from .markov import MarkovKernel, two_state_kernel
-from .noise import NoiseModel, sample_with_noise
+from .noise import ZERO_NOISE, NoiseModel, sample_with_noise
 from .references import experiment_reference, gate_reference
 from .spue import (
     DUAL_QUBITS,
@@ -32,7 +32,7 @@ from .spue import (
     szegedy_walk,
     two_state_row_prep,
 )
-from .statevector import sample, statevector_of
+from .statevector import statevector_of
 from .transpile import transpile_native
 
 EXPERIMENT_NAMES = (
@@ -257,18 +257,12 @@ def _counts(
     """Sample a terminal-measurement pipeline, noiselessly or with trajectories.
 
     A zero noise model skips transpilation (there are no noise sites to
-    attach to), which keeps it bit-exact against the noiseless path.
+    attach to), so it samples the logical circuit like the noiseless path.
     """
-    if noise is None or noise.is_zero:
-        bare = Circuit(circuit.qubits)
-        bare.extend(op for op in circuit.ops if op.kind != "measure")
-        state = statevector_of(bare)
-        idx = [circuit.index_of(q) for q in measured]
-        return sample(state, idx, shots, seed)
-    exec_circuit = circuit
-    if noise.attach == "native":
-        exec_circuit = transpile_native(circuit).circuit
-    return sample_with_noise(exec_circuit, noise, shots, seed, measured)
+    noise = ZERO_NOISE if noise is None else noise
+    if noise.attach == "native" and not noise.is_zero:
+        circuit = transpile_native(circuit).circuit
+    return sample_with_noise(circuit, noise, shots, seed, measured)
 
 
 def _marginal(counts: dict[str, int], positions: list[int]) -> dict[str, int]:

@@ -10,7 +10,9 @@ uniform comes first, then the measurement-flip uniforms, then one uniform
 per gate site (with a Pauli choice drawn on demand when a site fires).
 Because the outcome uniform is the first draw, the all-zero model reproduces
 noiseless sampling bit-exactly, and batched evaluation reproduces sequential
-evaluation exactly.
+evaluation exactly.  The all-zero model skips the draws altogether: it
+evolves one statevector and inverts the CDF with
+``statevector.sample_from_probabilities``, the noiseless sampler itself.
 
 Default rates are an order-of-magnitude stand-in for trapped-ion hardware,
 not calibrated device numbers.
@@ -24,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._apply import apply_matrix, apply_matrix_nd, marginal_probabilities
-from .circuit import Circuit, GateApplication
+from ._apply import Gate, apply_matrix, apply_matrix_nd, evolve, marginal_probabilities
+from .circuit import Circuit
 from .errors import SchemaError
 from .rng import ShotStreams, shot_rng
-from .statevector import StateVector, from_amplitudes, statevector_of, zero_state
+from .statevector import StateVector, from_amplitudes, sample_from_probabilities, zero_state
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -99,8 +101,11 @@ def _pauli_matrix(num_qubits: int, index: int) -> np.ndarray:
     return out
 
 
-def _gate_sites(circuit: Circuit) -> list[GateApplication]:
-    return [op for op in circuit.ops if op.kind not in ("measure", "reset")]
+def _sites(circuit: Circuit, model: NoiseModel) -> tuple[list[Gate], np.ndarray, np.ndarray]:
+    """Resolved gates (one noise site each) with their arities and fault rates."""
+    gates = list(circuit.gates())
+    arities = np.array([len(targets) + len(controls) for _, targets, controls in gates], dtype=int)
+    return gates, arities, np.array([model.rate_for(int(k)) for k in arities])
 
 
 def _shot_events(
@@ -136,21 +141,17 @@ def apply_trajectory(
     measured = [op.targets[0] for op in circuit.ops if op.kind == "measure"]
     terminal = _is_terminal_measurement(circuit)
     rng = shot_rng(seed, shot_index)
-    sites = _gate_sites(circuit)
-    arities = np.array([len(op.qubits) for op in sites])
-    rates = np.array([model.rate_for(len(op.qubits)) for op in sites])
 
     if terminal:
+        gates, arities, rates = _sites(circuit, model)
         u_out = rng.random()
         flip_u = rng.random(len(measured)) if measured else np.empty(0)
         events = dict(_shot_events(rng, rates, arities))
         amps = state.amps
-        for site, op in enumerate(sites):
-            targets = tuple(circuit.index_of(q) for q in op.targets)
-            controls = tuple(circuit.index_of(q) for q in op.controls)
-            amps = apply_matrix(amps, op.base_matrix(), targets, controls, n)
+        for site, (mat, targets, controls) in enumerate(gates):
+            amps = apply_matrix(amps, mat, targets, controls, n)
             if site in events:
-                qubits = tuple(circuit.index_of(q) for q in op.qubits)
+                qubits = controls + targets
                 amps = apply_matrix(amps, _pauli_matrix(len(qubits), events[site]), qubits, (), n)
         state = from_amplitudes(amps)
         outcomes: dict[str, int] = {}
@@ -170,6 +171,7 @@ def apply_trajectory(
     # Mid-circuit measurements: inline draws in program order.
     amps = state.amps
     outcomes = {}
+    gates = circuit.gates()
     for op in circuit.ops:
         if op.kind == "measure":
             q = circuit.index_of(op.targets[0])
@@ -187,12 +189,11 @@ def apply_trajectory(
         elif op.kind == "reset":
             raise ValueError("reset is not supported in noisy trajectories")
         else:
-            targets = tuple(circuit.index_of(q) for q in op.targets)
-            controls = tuple(circuit.index_of(q) for q in op.controls)
-            amps = apply_matrix(amps, op.base_matrix(), targets, controls, n)
-            rate = model.rate_for(len(op.qubits))
+            mat, targets, controls = next(gates)
+            amps = apply_matrix(amps, mat, targets, controls, n)
+            qubits = controls + targets
+            rate = model.rate_for(len(qubits))
             if rate > 0 and rng.random() < rate:
-                qubits = tuple(circuit.index_of(q) for q in op.qubits)
                 pauli = 1 + int(rng.integers(4 ** len(qubits) - 1))
                 amps = apply_matrix(amps, _pauli_matrix(len(qubits), pauli), qubits, (), n)
     return from_amplitudes(amps), outcomes
@@ -218,8 +219,9 @@ def sample_with_noise(
     """Histogram over measured qubits from batched noise trajectories.
 
     Requires terminal measurement (or an explicit measured-qubit list on a
-    measurement-free circuit).  The all-zero model takes the noiseless path
-    and is bit-exact against plain sampling.
+    measurement-free circuit).  The all-zero model evolves one statevector and
+    samples it with ``sample_from_probabilities``, so it is the noiseless
+    sampler bit for bit.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -233,20 +235,11 @@ def sample_with_noise(
     idx = tuple(circuit.index_of(q) for q in measured_qubits)
 
     if model.is_zero:
-        state = statevector_of(_without_measures(circuit))
-        probs = marginal_probabilities(state.amps, idx, n)
-        streams = ShotStreams(seed)
-        return _histogram_from_uniforms(
-            np.array([streams.shot(s).random() for s in range(shots)]),
-            np.broadcast_to(probs, (shots, len(probs))),
-            len(measured_qubits),
-            np.empty((shots, 0)),
-            0.0,
-        )
+        final = evolve(_ground_batch(1, n), circuit.gates())
+        probs = marginal_probabilities(final, idx, n)
+        return sample_from_probabilities(probs, len(measured_qubits), shots, seed)
 
-    sites = _gate_sites(circuit)
-    arities = np.array([len(op.qubits) for op in sites])
-    rates = np.array([model.rate_for(len(op.qubits)) for op in sites])
+    gates, arities, rates = _sites(circuit, model)
     u_out = np.empty(shots)
     flip_u = np.empty((shots, len(measured_qubits)))
     events_by_site: dict[int, list[tuple[int, int]]] = {}
@@ -258,15 +251,12 @@ def sample_with_noise(
         for site, pauli in _shot_events(rng, rates, arities):
             events_by_site.setdefault(site, []).append((s, pauli))
 
-    batch = np.zeros((shots,) + (2,) * n, dtype=complex)
-    batch.reshape(shots, -1)[:, 0] = 1.0
-    for site, op in enumerate(sites):
-        targets = tuple(circuit.index_of(q) for q in op.targets)
-        controls = tuple(circuit.index_of(q) for q in op.controls)
-        batch = apply_matrix_nd(batch, op.base_matrix(), targets, controls)
+    batch = _ground_batch(shots, n)
+    for site, (mat, targets, controls) in enumerate(gates):
+        batch = apply_matrix_nd(batch, mat, targets, controls)
         events = events_by_site.get(site)
         if events:
-            qubits = tuple(circuit.index_of(q) for q in op.qubits)
+            qubits = controls + targets
             if not batch.flags.writeable or batch.base is not None:
                 batch = batch.copy()
             flat_rows = batch.reshape(shots, -1)
@@ -280,10 +270,10 @@ def sample_with_noise(
     return _histogram_from_uniforms(u_out, probs, len(measured_qubits), flip_u, model.p_meas)
 
 
-def _without_measures(circuit: Circuit) -> Circuit:
-    out = Circuit(circuit.qubits)
-    out.extend(op for op in circuit.ops if op.kind not in ("measure", "reset"))
-    return out.freeze()
+def _ground_batch(size: int, num_qubits: int) -> np.ndarray:
+    batch = np.zeros((size,) + (2,) * num_qubits, dtype=complex)
+    batch.reshape(size, -1)[:, 0] = 1.0
+    return batch
 
 
 def _histogram_from_uniforms(
@@ -295,8 +285,8 @@ def _histogram_from_uniforms(
 ) -> dict[str, int]:
     cum = np.cumsum(probs, axis=1)
     cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-    # Count of cum entries <= u equals searchsorted(side="right"): keep this
-    # identical to the noiseless sampler so zero noise is bit-exact.
+    # Count of cum entries <= u equals searchsorted(side="right"), the rule of
+    # the noiseless sampler, so a shot without faults reads the same outcome.
     outcomes = (cum <= u_out[:, None]).sum(axis=1)
     outcomes = np.minimum(outcomes, probs.shape[1] - 1)
     if p_meas > 0 and flip_u.size:

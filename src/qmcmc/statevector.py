@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._apply import apply_matrix, marginal_probabilities
-from .circuit import Circuit, GateApplication
+from ._apply import apply_matrix, evolve, marginal_probabilities
+from .circuit import NON_UNITARY_KINDS, Circuit, GateApplication
 from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import AddressingError, PostSelectImpossible
 from .rng import ShotStreams
 
 MAX_QUBITS = 16
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,21 +79,20 @@ def from_amplitudes(amps) -> StateVector:
     return StateVector(n, amps)
 
 
-def _resolve(gate: GateApplication, index_of) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    targets = tuple(index_of[q] for q in gate.targets)
-    controls = tuple(index_of[q] for q in gate.controls)
-    return targets, controls
-
-
 def apply_gate(state: StateVector, gate: GateApplication, index_of: dict[str, int]) -> StateVector:
     """Apply one gate; qubit names resolve through ``index_of``."""
-    targets, controls = _resolve(gate, index_of)
+    targets = tuple(index_of[q] for q in gate.targets)
+    controls = tuple(index_of[q] for q in gate.controls)
     seen = targets + controls
     if len(set(seen)) != len(seen):
         raise AddressingError(f"gate addresses a qubit twice: {seen}")
     if any(not 0 <= q < state.num_qubits for q in seen):
         raise AddressingError(f"qubit index out of range in {seen}")
-    amps = apply_matrix(state.amps, gate.base_matrix(), targets, controls, state.num_qubits)
+    return _applied(state, gate.base_matrix(), targets, controls)
+
+
+def _applied(state: StateVector, mat: np.ndarray, targets, controls) -> StateVector:
+    amps = apply_matrix(state.amps, mat, targets, controls, state.num_qubits)
     return StateVector(state.num_qubits, amps, state.config)
 
 
@@ -102,41 +102,45 @@ class SimulationResult:
     measurements: dict[str, int]
 
 
+def _initial(circuit: Circuit, initial: StateVector | None) -> StateVector:
+    state = initial if initial is not None else zero_state(circuit.num_qubits)
+    if state.num_qubits != circuit.num_qubits:
+        raise ValueError("initial state size does not match circuit")
+    return state
+
+
 def simulate(
     circuit: Circuit,
     initial: StateVector | None = None,
     rng: np.random.Generator | None = None,
 ) -> SimulationResult:
     """Run a circuit front to back; measurements collapse using ``rng``."""
-    n = circuit.num_qubits
-    state = initial if initial is not None else zero_state(n)
-    if state.num_qubits != n:
-        raise ValueError("initial state size does not match circuit")
-    index_of = {q: circuit.index_of(q) for q in circuit.qubits}
+    state = _initial(circuit, initial)
+    if rng is None and circuit.has_measurement():
+        raise ValueError("circuit contains measurements; provide an rng")
+    gates = circuit.gates()
     outcomes: dict[str, int] = {}
     for op in circuit.ops:
-        if op.kind == "measure":
-            if rng is None:
-                raise ValueError("circuit contains measurements; provide an rng")
-            record = measure(state, (index_of[op.targets[0]],), rng)
-            outcomes[op.targets[0]] = int(record.outcome)
-            state = record.remaining_state
-        elif op.kind == "reset":
-            if rng is None:
-                raise ValueError("circuit contains reset; provide an rng")
-            q = index_of[op.targets[0]]
+        if op.kind in NON_UNITARY_KINDS:
+            q = circuit.index_of(op.targets[0])
             record = measure(state, (q,), rng)
             state = record.remaining_state
-            if record.outcome == "1":
-                state = apply_gate(state, GateApplication("x", op.targets), index_of)
+            if op.kind == "measure":
+                outcomes[op.targets[0]] = int(record.outcome)
+            elif record.outcome == "1":  # reset: flip the collapsed |1> to |0>
+                state = _applied(state, _X, (q,), ())
         else:
-            state = apply_gate(state, op, index_of)
+            state = _applied(state, *next(gates))
     return SimulationResult(state, outcomes)
 
 
 def statevector_of(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Final state of a measurement-free circuit."""
-    return simulate(circuit, initial, rng=None).state
+    if circuit.has_measurement():
+        raise ValueError("circuit contains measurements; simulate it with an rng")
+    state = _initial(circuit, initial)
+    batch = state.amps.reshape((1,) + (2,) * circuit.num_qubits)
+    return StateVector(state.num_qubits, evolve(batch, circuit.gates()).reshape(-1), state.config)
 
 
 def measure(
@@ -177,24 +181,6 @@ def post_select(
             f"qubit {qubit} = {value} has probability {prob:.3e} <= cutoff"
         )
     return _project(state, (qubit,), str(value)), prob
-
-
-def drop_qubit(state: StateVector, qubit: int, value: int = 0) -> StateVector:
-    """Remove a qubit that is exactly |value>; errors if it carries amplitude."""
-    nd = state.amps.reshape((2,) * state.num_qubits)
-    sel = [slice(None)] * state.num_qubits
-    sel[qubit] = 1 - value
-    if np.max(np.abs(nd[tuple(sel)])) > 1e-9:
-        raise ValueError(f"qubit {qubit} is not in a definite |{value}> state")
-    sel[qubit] = value
-    kept = nd[tuple(sel)].reshape(-1)
-    kept = kept / np.linalg.norm(kept)
-    return StateVector(state.num_qubits - 1, kept, state.config)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """a (x) b; b's qubits are appended after a's (less significant bits)."""
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amps, b.amps), a.config)
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:

@@ -12,6 +12,15 @@ def _bell_circuit():
     return circ.freeze()
 
 
+def _multi_controlled_circuit():
+    circ = Circuit(["a", "b", "c", "d"]).h("a").h("b").ry(0.6, "c")
+    circ.x("d", controls=("a", "b"))
+    circ.swap("c", "d", controls=("a", "b"))
+    circ.ry(0.3, "b", controls=("c",))
+    circ.measure("a", "b", "c", "d")
+    return circ.freeze()
+
+
 class TestNoiseModel:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -46,15 +55,20 @@ class TestZeroNoiseEquivalence:
 
 class TestTrajectoryMechanics:
     def test_batched_equals_sequential(self):
-        circ = _bell_circuit()
-        model = NoiseModel(p1=0.02, p2=0.08, p_meas=0.03)
-        batched = sample_with_noise(circ, model, 400, seed=12)
-        sequential = {}
-        for s in range(400):
-            _, outcomes = apply_trajectory(circ, model, 12, s)
-            key = f"{outcomes['a']}{outcomes['b']}"
-            sequential[key] = sequential.get(key, 0) + 1
-        assert batched == sequential
+        # The second case has logical-level noise sites on 3 and 4 qubits
+        # (multi-controlled gates), where the Pauli qubit order matters.
+        cases = (
+            (_bell_circuit(), NoiseModel(p1=0.02, p2=0.08, p_meas=0.03)),
+            (_multi_controlled_circuit(), NoiseModel(p1=0.02, p2=0.3, p_meas=0.03, attach="logical")),
+        )
+        for circ, model in cases:
+            batched = sample_with_noise(circ, model, 400, seed=12)
+            sequential = {}
+            for s in range(400):
+                _, outcomes = apply_trajectory(circ, model, 12, s)
+                key = "".join(str(outcomes[q]) for q in circ.qubits)
+                sequential[key] = sequential.get(key, 0) + 1
+            assert batched == sequential
 
     def test_full_two_qubit_noise_spreads_over_corrupted_states(self):
         # p2 -> 1 on a single CNOT from |00>: every trajectory carries one of
