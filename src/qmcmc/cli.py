@@ -129,26 +129,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(json.dumps(report.derived["spectral"], indent=2, sort_keys=True), args.out)
             return 0 if report.derived["spectral"]["ok"] else 1
         if args.command == "compare":
-            obj = json.loads(args.report.read_text())
-            spec_dict = obj["spec"]
-            noise = spec_dict.get("noise")
-            spec = ExperimentSpec(
-                spec_dict["name"],
-                delta=spec_dict["delta"],
-                acceptance_angle=spec_dict["acceptance_angle"],
-                shots=spec_dict["shots"],
-                seed=spec_dict["seed"],
-                noise=None if noise is None else NoiseModel(**noise),
-                t=spec_dict["t"],
-                encoding=spec_dict.get("encoding", "szegedy"),
-            )
-            report = ExperimentReport(
-                spec,
-                tuple(obj["bit_order"]),
-                {k: int(v) for k, v in obj["histogram"].items()},
-                obj["success_count"],
-                obj["derived"],
-            )
+            report = ExperimentReport.from_dict(json.loads(args.report.read_text()))
             summary = compare(report, args.reference)
             print(json.dumps(summary, indent=2, sort_keys=True))
             if args.assert_tvd is not None and summary["tvd"] > args.assert_tvd:

@@ -81,6 +81,17 @@ class ExperimentSpec:
         d["noise"] = None if self.noise is None else asdict(self.noise)
         return d
 
+    @classmethod
+    def from_dict(cls, obj: dict) -> "ExperimentSpec":
+        """Inverse of ``to_dict``; malformed input raises ``SchemaError``."""
+        try:
+            fields = dict(obj)
+            if fields.get("noise") is not None:
+                fields["noise"] = NoiseModel(**fields["noise"])
+            return cls(**fields)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed experiment spec: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -106,6 +117,20 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "ExperimentReport":
+        """Rebuild a report from ``to_dict`` output, without its comparison."""
+        try:
+            return cls(
+                ExperimentSpec.from_dict(obj["spec"]),
+                tuple(obj["bit_order"]),
+                {k: int(v) for k, v in obj["histogram"].items()},
+                obj["success_count"],
+                obj["derived"],
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed report: {exc}") from exc
 
 
 # -- pipelines -----------------------------------------------------------------

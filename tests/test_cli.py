@@ -88,3 +88,30 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--experiment", "not-a-thing"])
     assert exc.value.code == 2
+
+
+def _stored_report(tmp_path) -> dict:
+    out_file = tmp_path / "report.json"
+    assert main([
+        "run", "--experiment", "lcu-state-prep", "--shots", "200", "--seed", "1",
+        "--out", str(out_file),
+    ]) == 0
+    return json.loads(out_file.read_text())
+
+
+def test_compare_unknown_noise_key_is_schema_error(tmp_path, capsys):
+    payload = _stored_report(tmp_path)
+    payload["spec"]["noise"] = {"p1": 0.0, "p2": 1e-3, "p_meas": 0.0, "attach": "native", "p3": 1.0}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(bad)]) == 2
+    assert "malformed experiment spec" in capsys.readouterr().err
+
+
+def test_compare_top_level_list_is_schema_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([_stored_report(tmp_path)]))
+    capsys.readouterr()
+    assert main(["compare", str(bad)]) == 2
+    assert "malformed report" in capsys.readouterr().err
