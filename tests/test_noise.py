@@ -1,9 +1,17 @@
+from itertools import product
+from math import pi
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from qmcmc.circuit import Circuit
+from qmcmc.experiments import cswap_state_prep_circuit
 from qmcmc.noise import NoiseModel, ZERO_NOISE, apply_trajectory, sample_with_noise
 from qmcmc.statevector import sample, statevector_of
+from qmcmc.transpile import transpile_native
 
 
 def _bell_circuit():
@@ -18,6 +26,38 @@ def _multi_controlled_circuit():
     circ.swap("c", "d", controls=("a", "b"))
     circ.ry(0.3, "b", controls=("c",))
     circ.measure("a", "b", "c", "d")
+    return circ.freeze()
+
+
+def _sequential_histogram(circ, model, shots, seed):
+    counts = {}
+    for s in range(shots):
+        _, outcomes = apply_trajectory(circ, model, seed, s)
+        key = "".join(str(outcomes[q]) for q in circ.qubits)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+_ROTATIONS = ("rx", "ry", "rz")
+_CONTROLLABLE = ("h", "x", "y", "s") + _ROTATIONS + ("swap",)
+
+
+@st.composite
+def _controlled_circuits(draw):
+    """Up to 4 qubits and 5 gates, the first of them controlled, all measured."""
+    qubits = [f"q{i}" for i in range(draw(st.integers(2, 4)))]
+    circ = Circuit(qubits)
+    for i in range(draw(st.integers(1, 5))):
+        order = draw(st.permutations(qubits))
+        kind = draw(st.sampled_from(_CONTROLLABLE + ("zzphase",)))
+        width = 2 if kind in ("swap", "zzphase") else 1
+        max_controls = 0 if kind == "zzphase" else min(2, len(qubits) - width)
+        n_controls = draw(st.integers(min(1, max_controls) if i == 0 else 0, max_controls))
+        params = ()
+        if kind in _ROTATIONS + ("zzphase",):
+            params = (draw(st.floats(-pi, pi, allow_nan=False)),)
+        circ._add(kind, order[:width], controls=order[width : width + n_controls], params=params)
+    circ.measure(*qubits)
     return circ.freeze()
 
 
@@ -63,12 +103,27 @@ class TestTrajectoryMechanics:
         )
         for circ, model in cases:
             batched = sample_with_noise(circ, model, 400, seed=12)
-            sequential = {}
-            for s in range(400):
-                _, outcomes = apply_trajectory(circ, model, 12, s)
-                key = "".join(str(outcomes[q]) for q in circ.qubits)
-                sequential[key] = sequential.get(key, 0) + 1
-            assert batched == sequential
+            assert batched == _sequential_histogram(circ, model, 400, 12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        circ=_controlled_circuits(),
+        attach=st.sampled_from(("native", "logical")),
+        p2=st.floats(0.0, 0.999),
+        p1_share=st.floats(0.0, 1.0),
+        p_meas=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**31 - 1),
+        shots=st.integers(1, 200),
+    )
+    def test_batched_equals_sequential_property(
+        self, circ, attach, p2, p1_share, p_meas, seed, shots
+    ):
+        # Rates up to p2 ~ 1 make every shot fault and fault patterns repeat.
+        model = NoiseModel(p1=p2 * p1_share, p2=p2, p_meas=p_meas, attach=attach)
+        if attach == "native":
+            circ = transpile_native(circ).circuit
+        batched = sample_with_noise(circ, model, shots, seed)
+        assert batched == _sequential_histogram(circ, model, shots, seed)
 
     def test_full_two_qubit_noise_spreads_over_corrupted_states(self):
         # p2 -> 1 on a single CNOT from |00>: every trajectory carries one of
@@ -132,6 +187,99 @@ class TestTrajectoryMechanics:
         a = sample_with_noise(circ, model, 500, seed=8)
         b = sample_with_noise(circ, model, 500, seed=8)
         assert a == b
+
+
+_PAULI_BASIS = (
+    np.eye(2),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1, -1]),
+)
+
+
+def _conjugate(rho: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """M rho M^dagger for an operator M on the given qubits (first = most significant)."""
+    k = len(qubits)
+    m = mat.reshape((2,) * (2 * k))
+    inputs = tuple(range(k, 2 * k))
+    t = rho.reshape((2,) * (2 * n))
+    t = np.moveaxis(np.tensordot(m, t, axes=(inputs, qubits)), range(k), qubits)
+    cols = tuple(n + q for q in qubits)
+    t = np.moveaxis(np.tensordot(m.conj(), t, axes=(inputs, cols)), range(k), cols)
+    return t.reshape(2**n, 2**n)
+
+
+def _exact_outcome_law(circ: Circuit, model: NoiseModel) -> np.ndarray:
+    """Outcome law of the measured qubits under the depolarizing channel model.
+
+    Each gate site applies rho -> (1-p) rho + p/(4^k-1) sum_{P != I} P rho P on
+    the site's k qubits, then every recorded bit flips with probability p_meas.
+    Independent of the trajectory engine: density matrices, no sampling.
+    """
+    n = circ.num_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for mat, targets, controls in circ.gates():
+        qubits = controls + targets
+        full = np.eye(2 ** len(qubits), dtype=complex)
+        full[-len(mat):, -len(mat):] = mat
+        rho = _conjugate(rho, full, qubits, n)
+        p = model.rate_for(len(qubits))
+        if p > 0:
+            faulted = np.zeros_like(rho)
+            for paulis in list(product(_PAULI_BASIS, repeat=len(qubits)))[1:]:
+                pauli = paulis[0]
+                for factor in paulis[1:]:
+                    pauli = np.kron(pauli, factor)
+                faulted += _conjugate(rho, pauli, qubits, n)
+            rho = (1 - p) * rho + p / (4 ** len(qubits) - 1) * faulted
+    measured = [circ.index_of(op.targets[0]) for op in circ.ops if op.kind == "measure"]
+    law = np.real(np.diag(rho)).reshape((2,) * n)
+    law = law.sum(axis=tuple(q for q in range(n) if q not in measured))
+    law = np.moveaxis(law, np.argsort(np.argsort(measured)), range(len(measured)))
+    for axis in range(len(measured)):
+        law = (1 - model.p_meas) * law + model.p_meas * np.flip(law, axis=axis)
+    return law.reshape(-1)
+
+
+def _chi_square_p(hist: dict[str, int], law: np.ndarray, shots: int) -> float:
+    """Pearson chi-square p-value, with bins of expected count < 5 pooled."""
+    width = int(np.log2(len(law)))
+    observed = np.array([hist.get(format(k, f"0{width}b"), 0) for k in range(len(law))])
+    expected = shots * law
+    small = expected < 5
+    obs = list(observed[~small])
+    exp = list(expected[~small])
+    if small.any():
+        obs.append(observed[small].sum())
+        exp.append(expected[small].sum())
+    obs, exp = np.array(obs), np.array(exp)
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    return float(chi2.sf(stat, len(obs) - 1))
+
+
+class TestExactChannelOracle:
+    @pytest.mark.parametrize(
+        "circ, model",
+        [
+            pytest.param(
+                _bell_circuit(),
+                NoiseModel(p1=0.2, p2=0.4, p_meas=0.1, attach="logical"),
+                id="bell-high-rates",
+            ),
+            pytest.param(
+                transpile_native(cswap_state_prep_circuit(pi / 6)).circuit,
+                NoiseModel(p1=2e-5, p2=5e-3, p_meas=1e-3),
+                id="native-cswap-state-prep",
+            ),
+        ],
+    )
+    def test_trajectory_histogram_matches_density_matrix(self, circ, model):
+        shots = 10_000
+        law = _exact_outcome_law(circ, model)
+        assert np.isclose(law.sum(), 1.0)
+        hist = sample_with_noise(circ, model, shots, seed=2024)
+        assert _chi_square_p(hist, law, shots) > 1e-3
 
 
 class TestMonotoneDegradationSmoke:
