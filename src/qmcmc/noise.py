@@ -1,9 +1,9 @@
 """Stochastic Pauli noise via trajectory sampling.
 
-Each shot evolves a pure state: after every gate, with probability p1 or p2
-(by gate arity) a uniformly random non-identity Pauli hits the gate's
-qubits, and recorded measurement bits flip with probability p_meas.  Memory
-stays at statevector size and trajectories are embarrassingly parallel.
+Each shot follows a pure-state trajectory: after every gate, with
+probability p1 or p2 (by gate arity) a uniformly random non-identity Pauli
+hits the gate's qubits, and recorded measurement bits flip with probability
+p_meas.
 
 Draw discipline per shot stream (seed, shot_index): the terminal-outcome
 uniform comes first, then the measurement-flip uniforms, then one uniform
@@ -14,6 +14,14 @@ evaluation exactly.  The all-zero model skips the draws altogether: it
 evolves one statevector and inverts the CDF with
 ``statevector.sample_from_probabilities``, the noiseless sampler itself.
 
+The batched engine separates the fault draws from state evolution.  It
+draws every shot's fault pattern, the tuple of its ``(site, pauli)`` events,
+and evolves each distinct pattern once; most shots share the fault-free
+pattern.  Patterns are evolved as one batch, in chunks whose amplitudes stay
+within a fixed byte budget, so memory grows with the budget and the shot
+count rather than with ``shots * 2**n``.  Each shot then inverts the CDF of
+its pattern's outcome law with its own outcome uniform.
+
 Default rates are an order-of-magnitude stand-in for trapped-ion hardware,
 not calibrated device numbers.
 """
@@ -23,6 +31,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +39,14 @@ from ._apply import Gate, apply_matrix, apply_matrix_nd, evolve, marginal_probab
 from .circuit import Circuit
 from .errors import SchemaError
 from .rng import ShotStreams, shot_rng
-from .statevector import StateVector, from_amplitudes, sample_from_probabilities, zero_state
+from .statevector import (
+    StateVector,
+    from_amplitudes,
+    invert_cdf,
+    outcome_counts,
+    sample_from_probabilities,
+    zero_state,
+)
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -38,6 +54,9 @@ _PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 _PAULI_1Q = [_PAULI["x"], _PAULI["y"], _PAULI["z"]]
+
+# Amplitude bytes of one batch of fault patterns evolved together.
+_BATCH_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -88,8 +107,12 @@ class NoiseModel:
 ZERO_NOISE = NoiseModel(0.0, 0.0, 0.0)
 
 
+@lru_cache(maxsize=1024)
 def _pauli_matrix(num_qubits: int, index: int) -> np.ndarray:
-    """index in 1..4^k-1 selects a non-identity Pauli string (base-4 digits)."""
+    """index in 1..4^k-1 selects a non-identity Pauli string (base-4 digits).
+
+    Cached, so the returned array is read-only.
+    """
     mats = []
     for _ in range(num_qubits):
         digit = index % 4
@@ -98,6 +121,7 @@ def _pauli_matrix(num_qubits: int, index: int) -> np.ndarray:
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)
+    out.setflags(write=False)
     return out
 
 
@@ -109,17 +133,17 @@ def _sites(circuit: Circuit, model: NoiseModel) -> tuple[list[Gate], np.ndarray,
 
 
 def _shot_events(
-    rng: np.random.Generator, rates: np.ndarray, arities: np.ndarray
-) -> list[tuple[int, int]]:
-    """(site, pauli index) pairs for one trajectory, in site order."""
-    if len(rates) == 0:
-        return []
-    u = rng.random(len(rates))
-    events = []
-    for site in np.flatnonzero(u < rates):
-        n_paulis = 4 ** int(arities[site]) - 1
-        events.append((int(site), 1 + int(rng.integers(n_paulis))))
-    return events
+    rng: np.random.Generator, site_u: np.ndarray, rates: np.ndarray, arities: np.ndarray
+) -> tuple[tuple[int, int], ...]:
+    """(site, pauli index) pairs for one trajectory, in site order.
+
+    ``site_u`` holds the trajectory's site uniforms; the Pauli index of each
+    site that fires is drawn from ``rng`` on demand.
+    """
+    return tuple(
+        (int(site), 1 + int(rng.integers(4 ** int(arities[site]) - 1)))
+        for site in np.flatnonzero(site_u < rates)
+    )
 
 
 def apply_trajectory(
@@ -146,7 +170,7 @@ def apply_trajectory(
         gates, arities, rates = _sites(circuit, model)
         u_out = rng.random()
         flip_u = rng.random(len(measured)) if measured else np.empty(0)
-        events = dict(_shot_events(rng, rates, arities))
+        events = dict(_shot_events(rng, rng.random(len(rates)), rates, arities))
         amps = state.amps
         for site, (mat, targets, controls) in enumerate(gates):
             amps = apply_matrix(amps, mat, targets, controls, n)
@@ -240,61 +264,61 @@ def sample_with_noise(
         return sample_from_probabilities(probs, len(measured_qubits), shots, seed)
 
     gates, arities, rates = _sites(circuit, model)
+    m = len(measured_qubits)
     u_out = np.empty(shots)
-    flip_u = np.empty((shots, len(measured_qubits)))
-    events_by_site: dict[int, list[tuple[int, int]]] = {}
+    flip_u = np.empty((shots, m))
+    pattern_of_shot = np.empty(shots, dtype=np.intp)
+    rows: dict[tuple[tuple[int, int], ...], int] = {}
     streams = ShotStreams(seed)
     for s in range(shots):
         rng = streams.shot(s)
-        u_out[s] = rng.random()
-        flip_u[s] = rng.random(len(measured_qubits))
-        for site, pauli in _shot_events(rng, rates, arities):
-            events_by_site.setdefault(site, []).append((s, pauli))
+        u = rng.random(1 + m + len(rates))
+        u_out[s] = u[0]
+        flip_u[s] = u[1 : 1 + m]
+        pattern = _shot_events(rng, u[1 + m :], rates, arities)
+        pattern_of_shot[s] = rows.setdefault(pattern, len(rows))
 
-    batch = _ground_batch(shots, n)
+    patterns = list(rows)
+    shots_of_row = np.split(
+        np.argsort(pattern_of_shot, kind="stable"), np.cumsum(np.bincount(pattern_of_shot))[:-1]
+    )
+    chunk = max(1, _BATCH_BYTES // (16 * 2**n))
+    outcomes = np.empty(shots, dtype=np.intp)
+    for first in range(0, len(patterns), chunk):
+        final = _evolve_patterns(patterns[first : first + chunk], gates, n)
+        probs = marginal_probabilities(np.ascontiguousarray(final), idx, n, batched=True)
+        for row_probs, group in zip(probs, shots_of_row[first : first + chunk]):
+            outcomes[group] = invert_cdf(row_probs, u_out[group])
+    if model.p_meas > 0:
+        weights = 1 << np.arange(m - 1, -1, -1)
+        outcomes ^= (flip_u < model.p_meas) @ weights
+    return outcome_counts(outcomes, m)
+
+
+def _evolve_patterns(
+    patterns: list[tuple[tuple[int, int], ...]], gates: list[Gate], num_qubits: int
+) -> np.ndarray:
+    """One final state per fault pattern, as a ``(len(patterns), 2, ..., 2)`` batch.
+
+    Every gate acts on the whole batch; at each site, each distinct Pauli
+    acts in one kernel call on just the rows whose pattern carries it.
+    """
+    faults: dict[int, dict[int, list[int]]] = {}
+    for row, pattern in enumerate(patterns):
+        for site, pauli in pattern:
+            faults.setdefault(site, {}).setdefault(pauli, []).append(row)
+    batch = _ground_batch(len(patterns), num_qubits)
     for site, (mat, targets, controls) in enumerate(gates):
         batch = apply_matrix_nd(batch, mat, targets, controls)
-        events = events_by_site.get(site)
-        if events:
-            qubits = controls + targets
-            if not batch.flags.writeable or batch.base is not None:
-                batch = batch.copy()
-            flat_rows = batch.reshape(shots, -1)
-            for s, pauli in events:
-                flat_rows[s] = apply_matrix(
-                    flat_rows[s], _pauli_matrix(len(qubits), pauli), qubits, (), n
-                )
-    probs = marginal_probabilities(
-        np.ascontiguousarray(batch).reshape(shots, -1), idx, n, batched=True
-    )
-    return _histogram_from_uniforms(u_out, probs, len(measured_qubits), flip_u, model.p_meas)
+        qubits = controls + targets
+        for pauli, rows in faults.get(site, {}).items():
+            batch[rows] = apply_matrix_nd(
+                batch[rows], _pauli_matrix(len(qubits), pauli), qubits, ()
+            )
+    return batch
 
 
 def _ground_batch(size: int, num_qubits: int) -> np.ndarray:
     batch = np.zeros((size,) + (2,) * num_qubits, dtype=complex)
     batch.reshape(size, -1)[:, 0] = 1.0
     return batch
-
-
-def _histogram_from_uniforms(
-    u_out: np.ndarray,
-    probs: np.ndarray,
-    num_bits: int,
-    flip_u: np.ndarray,
-    p_meas: float,
-) -> dict[str, int]:
-    cum = np.cumsum(probs, axis=1)
-    cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-    # Count of cum entries <= u equals searchsorted(side="right"), the rule of
-    # the noiseless sampler, so a shot without faults reads the same outcome.
-    outcomes = (cum <= u_out[:, None]).sum(axis=1)
-    outcomes = np.minimum(outcomes, probs.shape[1] - 1)
-    if p_meas > 0 and flip_u.size:
-        weights = 1 << np.arange(num_bits - 1, -1, -1)
-        flips = (flip_u < p_meas) @ weights
-        outcomes = outcomes ^ flips.astype(int)
-    counts: dict[str, int] = {}
-    for k in outcomes:
-        key = format(int(k), f"0{num_bits}b")
-        counts[key] = counts.get(key, 0) + 1
-    return counts

@@ -210,13 +210,24 @@ def sample_from_probabilities(
     shot's stream) is shared with the noise-trajectory engine, which makes
     the all-zero noise model reproduce noiseless histograms bit-exactly.
     """
-    cum = np.cumsum(probs)
-    cum[-1] = max(cum[-1], 1.0)
     streams = ShotStreams(seed)
     u = np.array([streams.shot(s).random() for s in range(shots)])
-    outcomes = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    counts: dict[str, int] = {}
-    for outcome in outcomes:
-        key = format(int(outcome), f"0{num_bits}b")
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return outcome_counts(invert_cdf(probs, u), num_bits)
+
+
+def invert_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome index for each uniform in ``u`` under the law ``probs``.
+
+    The inversion rule of both shot samplers: ``searchsorted(side="right")``
+    on the CDF, whose last entry is raised to at least 1 so that rounding
+    cannot leave a uniform beyond it, clamped to the last outcome.
+    """
+    cum = np.cumsum(probs)
+    cum[-1] = max(cum[-1], 1.0)
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def outcome_counts(outcomes: np.ndarray, num_bits: int) -> dict[str, int]:
+    """Histogram of outcome indices, keyed by ``num_bits``-wide bitstrings."""
+    counts = np.bincount(outcomes)
+    return {format(int(k), f"0{num_bits}b"): int(counts[k]) for k in np.flatnonzero(counts)}

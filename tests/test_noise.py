@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from qmcmc import noise
 from qmcmc.circuit import Circuit
 from qmcmc.experiments import cswap_state_prep_circuit
 from qmcmc.noise import NoiseModel, ZERO_NOISE, apply_trajectory, sample_with_noise
@@ -187,6 +188,39 @@ class TestTrajectoryMechanics:
         a = sample_with_noise(circ, model, 500, seed=8)
         b = sample_with_noise(circ, model, 500, seed=8)
         assert a == b
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7])
+    @pytest.mark.parametrize(
+        "circ, model",
+        [
+            pytest.param(
+                _multi_controlled_circuit(),
+                NoiseModel(p1=0.02, p2=0.3, p_meas=0.03, attach="logical"),
+                id="logical-multi-controlled",
+            ),
+            pytest.param(
+                transpile_native(cswap_state_prep_circuit(pi / 6)).circuit,
+                NoiseModel(p1=2e-5, p2=2e-2, p_meas=1e-3),
+                id="native-cswap-state-prep",
+            ),
+        ],
+    )
+    def test_chunked_equals_unchunked(self, monkeypatch, circ, model, rows_per_chunk):
+        whole = sample_with_noise(circ, model, 300, seed=4)
+        sizes = []
+        evolve_patterns = noise._evolve_patterns
+
+        def recording(patterns, gates, num_qubits):
+            sizes.append(len(patterns))
+            return evolve_patterns(patterns, gates, num_qubits)
+
+        monkeypatch.setattr(noise, "_evolve_patterns", recording)
+        monkeypatch.setattr(noise, "_BATCH_BYTES", rows_per_chunk * 16 * 2**circ.num_qubits)
+        assert sample_with_noise(circ, model, 300, seed=4) == whole
+        assert max(sizes) == rows_per_chunk
+        assert len(sizes) > 2
 
 
 _PAULI_BASIS = (
