@@ -40,7 +40,7 @@ def _sequential_histogram(circ, model, shots, seed):
 
 
 _ROTATIONS = ("rx", "ry", "rz")
-_CONTROLLABLE = ("h", "x", "y", "s") + _ROTATIONS + ("swap",)
+_ONE_QUBIT = ("h", "x", "y", "s") + _ROTATIONS
 
 
 @st.composite
@@ -50,10 +50,10 @@ def _controlled_circuits(draw):
     circ = Circuit(qubits)
     for i in range(draw(st.integers(1, 5))):
         order = draw(st.permutations(qubits))
-        kind = draw(st.sampled_from(_CONTROLLABLE + ("zzphase",)))
+        kind = draw(st.sampled_from(_ONE_QUBIT if i == 0 else _ONE_QUBIT + ("swap", "zzphase")))
         width = 2 if kind in ("swap", "zzphase") else 1
         max_controls = 0 if kind == "zzphase" else min(2, len(qubits) - width)
-        n_controls = draw(st.integers(min(1, max_controls) if i == 0 else 0, max_controls))
+        n_controls = draw(st.integers(1 if i == 0 else 0, max_controls))
         params = ()
         if kind in _ROTATIONS + ("zzphase",):
             params = (draw(st.floats(-pi, pi, allow_nan=False)),)
