@@ -7,7 +7,6 @@ dense statevector engine with trajectory noise, and an experiment runner
 that reproduces the bundled reference datasets.
 """
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
 from .markov import (
     Distribution,
     MarkovKernel,

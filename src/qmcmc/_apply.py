@@ -80,20 +80,18 @@ def _apply_to_block(block: np.ndarray, mat: np.ndarray, targets: tuple[int, ...]
 
 
 def marginal_probabilities(
-    amps: np.ndarray, qubits: tuple[int, ...], num_qubits: int, batched: bool = False
+    amps: np.ndarray, qubits: tuple[int, ...], num_qubits: int
 ) -> np.ndarray:
     """Born probabilities over the given qubits, in the given qubit order.
 
-    Returns shape ``(2**k,)`` or ``(B, 2**k)``.
+    ``amps`` holds B states, flat or batch-first; returns shape ``(B, 2**k)``.
     """
-    offset = 1 if batched else 0
-    shape = ((-1,) if batched else ()) + (2,) * num_qubits
-    probs = np.abs(amps.reshape(shape)) ** 2
-    keep = [q + offset for q in qubits]
-    drop = tuple(ax for ax in range(offset, probs.ndim) if ax not in keep)
+    probs = np.abs(amps.reshape((-1,) + (2,) * num_qubits)) ** 2
+    keep = [q + 1 for q in qubits]
+    drop = tuple(ax for ax in range(1, probs.ndim) if ax not in keep)
     probs = probs.sum(axis=drop)
     # Axes collapse preserves ascending qubit order; permute to requested order.
     ascending = sorted(qubits)
-    src = [offset + ascending.index(q) for q in qubits]
-    probs = np.moveaxis(probs, src, range(offset, offset + len(qubits)))
-    return probs.reshape(((-1,) if batched else ()) + (2 ** len(qubits),))
+    src = [1 + ascending.index(q) for q in qubits]
+    probs = np.moveaxis(probs, src, range(1, 1 + len(qubits)))
+    return probs.reshape(-1, 2 ** len(qubits))

@@ -11,7 +11,7 @@ whose phases are multiples of 1/2^t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from math import atan2, cos, pi, sqrt
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from ._apply import evolve, marginal_probabilities
 from .circuit import Circuit, controlled, unitary_of
-from .config import DEFAULT_NUMERICS, NumericsConfig
+from .config import PREP_INPUT_TOL, UNITARY_TOL
 from .spue import WalkOperator
 from .statevector import (
     StateVector,
@@ -42,15 +42,9 @@ class FunctionOracle:
     values: np.ndarray
     num_state_qubits: int
     circuit: Circuit
-    config: NumericsConfig = field(default=DEFAULT_NUMERICS, repr=False)
 
     @classmethod
-    def from_table(
-        cls,
-        values,
-        num_state_qubits: int | None = None,
-        config: NumericsConfig = DEFAULT_NUMERICS,
-    ) -> "FunctionOracle":
+    def from_table(cls, values, num_state_qubits: int | None = None) -> "FunctionOracle":
         values = np.asarray(values, dtype=float)
         if np.any(values < 0) or np.any(values > 1):
             raise ValueError("function values must lie in [0, 1]")
@@ -66,7 +60,7 @@ class FunctionOracle:
         angles = [2 * atan2(sqrt(max(1 - f, 0.0)), sqrt(f)) for f in padded]
         _multiplexed_ry(circ, names[:-1], "f", angles)
         circ.freeze()
-        oracle = cls(padded, num_state_qubits, circ, config)
+        oracle = cls(padded, num_state_qubits, circ)
         oracle._verify()
         return oracle
 
@@ -80,7 +74,7 @@ class FunctionOracle:
             expect = np.zeros_like(col)
             expect[x << 1] = sqrt(f)
             expect[(x << 1) | 1] = sqrt(1 - f)
-            if float(np.max(np.abs(col - expect))) > self.config.unitary_tol:
+            if float(np.max(np.abs(col - expect))) > UNITARY_TOL:
                 raise ValueError(f"oracle column for state {x} deviates from contract")
 
 
@@ -105,7 +99,7 @@ def state_prep_circuit(probabilities, qubits: list[str]) -> Circuit:
     n = len(qubits)
     if probs.shape != (2**n,):
         raise ValueError("probability vector must have one entry per basis state")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+    if np.any(probs < 0) or abs(probs.sum() - 1.0) > PREP_INPUT_TOL:
         raise ValueError("need a normalized nonnegative probability vector")
     circ = Circuit(qubits)
     for level in range(n):
@@ -147,11 +141,7 @@ def inverse_qft_ops(circ: Circuit, wires: list[str]):
         circ.h(wires[j])
 
 
-def qpe_circuit(
-    walk_circuit: Circuit,
-    t: int,
-    phase_wires: list[str] | None = None,
-) -> tuple[Circuit, list[str]]:
+def qpe_circuit(walk_circuit: Circuit, t: int) -> tuple[Circuit, list[str]]:
     """Textbook phase estimation of a circuit-realized unitary.
 
     Controlled powers are built by repeated controlled application of the
@@ -160,9 +150,8 @@ def qpe_circuit(
     """
     if t < 1:
         raise ValueError("phase register needs at least one bit")
-    if phase_wires is None:
-        phase_wires = [f"ph{j}" for j in range(t)]
-    qubits = list(phase_wires) + list(walk_circuit.qubits)
+    phase_wires = [f"ph{j}" for j in range(t)]
+    qubits = phase_wires + list(walk_circuit.qubits)
     circ = Circuit(qubits)
     for w in phase_wires:
         circ.h(w)
@@ -172,7 +161,7 @@ def qpe_circuit(
             circ.extend(powered.ops)
     inverse_qft_ops(circ, phase_wires)
     # Bit of weight 2^(t-1-j) lands on phase_wires[j]: MSB first on wire 0.
-    return circ.freeze(), list(phase_wires)
+    return circ.freeze(), phase_wires
 
 
 def phase_estimation(
@@ -209,7 +198,7 @@ def phase_estimation(
         wire_index = tuple(range(t))
 
     final = evolve(_padded(input_state, t), gates)
-    probs = marginal_probabilities(final, wire_index, t + n_sys)
+    probs = marginal_probabilities(final, wire_index, t + n_sys)[0]
     raw = sample_from_probabilities(probs, t, shots, seed)
     histogram: dict[int, int] = {}
     for bits, count in raw.items():
@@ -250,7 +239,6 @@ def prepare_stationary(
     walk: WalkOperator,
     initial: StateVector,
     reflection_power: int,
-    config: NumericsConfig = DEFAULT_NUMERICS,
 ) -> tuple[StateVector, float]:
     """Single-bit phase estimation of walk^power with post-selection on 0.
 
@@ -265,7 +253,7 @@ def prepare_stationary(
     system = tuple(range(1, initial.num_qubits + 1))
     gates = ((_H, (0,), ()), (w_pow, system, (0,)), (_H, (0,), ()))
     state = from_amplitudes(evolve(_padded(initial, 1), gates).reshape(-1))
-    selected, prob = post_select(state, 0, 0, config)
+    selected, prob = post_select(state, 0, 0)
     kept = selected.amps[: initial.dim]
     return from_amplitudes(kept / np.linalg.norm(kept)), prob
 
@@ -312,8 +300,8 @@ def qae_mean(
         raise ValueError("phase register needs at least one bit")
     if pi_state.num_qubits != oracle.num_state_qubits:
         raise ValueError("state register size does not match oracle")
-    if float(np.max(np.abs(pi_state.amps.imag))) > 1e-9 or np.any(
-        pi_state.amps.real < -1e-9
+    if float(np.max(np.abs(pi_state.amps.imag))) > PREP_INPUT_TOL or np.any(
+        pi_state.amps.real < -PREP_INPUT_TOL
     ):
         raise ValueError("qae_mean requires a nonnegative-real input state")
     probs = pi_state.probabilities()

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._apply import Gate, evolve
+from .config import UNITARY_TOL
 from .errors import AddressingError, NotUnitary, SchemaError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -78,9 +79,9 @@ def _zzphase(gamma: float) -> np.ndarray:
     return np.diag([a, b, b, a])
 
 
-def _is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
+def _is_unitary(m: np.ndarray) -> bool:
     return m.shape[0] == m.shape[1] and np.allclose(
-        m.conj().T @ m, np.eye(m.shape[0]), atol=tol, rtol=0
+        m.conj().T @ m, np.eye(m.shape[0]), atol=UNITARY_TOL, rtol=0
     )
 
 
@@ -113,7 +114,7 @@ class GateApplication:
             if not 1 <= k <= 3 or m.shape != (2**k, 2**k):
                 raise ValueError("generic unitaries support 1 to 3 target qubits")
             if not _is_unitary(m):
-                raise NotUnitary("matrix-backed gate is not unitary within 1e-10")
+                raise NotUnitary(f"matrix-backed gate is not unitary within {UNITARY_TOL:g}")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
         else:

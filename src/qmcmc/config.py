@@ -1,29 +1,31 @@
-"""Numerical tolerances used across the package, in one record."""
+"""Numerical tolerances used across the package, in one table.
 
-from __future__ import annotations
+Every validation check in the package reads its tolerance from here, and
+the values follow one layered scheme:
 
-from dataclasses import dataclass
+- exact-construction checks at 1e-12: kernel row and distribution sums, the
+  flip-proposal match, the post-selection probability cutoff and the
+  zero-norm branch cutoff of a projection;
+- algebraic identity checks at 1e-10: detailed balance, symmetry, unitarity
+  and isometry, stationarity and the state norm;
+- state-preparation inputs and spectral comparisons at 1e-9;
+- eigenphase correspondence at 1e-8.
 
+The values are fixed; tests pin each check to its own.
+"""
 
-@dataclass(frozen=True)
-class NumericsConfig:
-    """Tolerance budget for validation and verification routines.
+ROW_SUM_TOL = 1e-12
+PROPOSAL_TOL = 1e-12
+POST_SELECT_CUTOFF = 1e-12
+BRANCH_NORM_CUTOFF = 1e-12
 
-    The defaults follow the layered scheme used throughout: exact-construction
-    checks (row sums) at 1e-12, algebraic identity checks (detailed balance,
-    symmetry, unitarity, isometry) at 1e-10, spectral comparisons at 1e-9 and
-    eigenphase correspondence at 1e-8.
-    """
+BALANCE_TOL = 1e-10
+SYMMETRY_TOL = 1e-10
+UNITARY_TOL = 1e-10
+STATIONARY_TOL = 1e-10
+NORM_TOL = 1e-10
 
-    row_sum_tol: float = 1e-12
-    balance_tol: float = 1e-10
-    symmetry_tol: float = 1e-10
-    unitary_tol: float = 1e-10
-    spectrum_tol: float = 1e-9
-    phase_tol: float = 1e-8
-    stationary_tol: float = 1e-10
-    norm_tol: float = 1e-10
-    post_select_cutoff: float = 1e-12
+PREP_INPUT_TOL = 1e-9
+SPECTRUM_TOL = 1e-9
 
-
-DEFAULT_NUMERICS = NumericsConfig()
+PHASE_TOL = 1e-8

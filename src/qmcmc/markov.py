@@ -13,14 +13,14 @@ functions, so they are safe to use from any number of threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
+from .config import BALANCE_TOL, ROW_SUM_TOL, STATIONARY_TOL, SYMMETRY_TOL
 from .errors import NotErgodic, NotReversible, NotSymmetric, SchemaError
 
 
@@ -35,7 +35,6 @@ class MarkovKernel:
     """Row-stochastic transition matrix over a finite state space."""
 
     p: np.ndarray
-    config: NumericsConfig = field(default=DEFAULT_NUMERICS, repr=False)
 
     def __post_init__(self):
         p = _readonly(self.p)
@@ -46,7 +45,7 @@ class MarkovKernel:
         if np.any(p < 0):
             raise ValueError("kernel entries must be nonnegative")
         row_err = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
-        if row_err > self.config.row_sum_tol:
+        if row_err > ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 (max deviation {row_err:.3e})")
         object.__setattr__(self, "p", p)
 
@@ -64,7 +63,7 @@ class MarkovKernel:
         return json.dumps({"n": self.n, "p": self.p.tolist()})
 
     @classmethod
-    def from_json(cls, text: str, config: NumericsConfig = DEFAULT_NUMERICS) -> "MarkovKernel":
+    def from_json(cls, text: str) -> "MarkovKernel":
         try:
             obj = json.loads(text)
             n, p = obj["n"], np.asarray(obj["p"], dtype=float)
@@ -73,7 +72,7 @@ class MarkovKernel:
         if p.shape != (n, n):
             raise SchemaError(f"declared n={n} does not match matrix shape {p.shape}")
         try:
-            return cls(p, config)
+            return cls(p)
         except ValueError as exc:
             raise SchemaError(f"kernel invariants violated: {exc}") from exc
 
@@ -83,7 +82,6 @@ class Distribution:
     """Probability vector; also owns the coherent amplitude encoding."""
 
     weights: np.ndarray
-    config: NumericsConfig = field(default=DEFAULT_NUMERICS, repr=False)
 
     def __post_init__(self):
         w = _readonly(self.weights)
@@ -91,7 +89,7 @@ class Distribution:
             raise ValueError("distribution must be a vector")
         if np.any(w < 0):
             raise ValueError("probabilities must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > self.config.row_sum_tol:
+        if abs(float(w.sum()) - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", w)
 
@@ -141,11 +139,11 @@ def _period(support: np.ndarray) -> int:
     return abs(g) if g != 0 else 0
 
 
-def two_state_kernel(delta: float, config: NumericsConfig = DEFAULT_NUMERICS) -> MarkovKernel:
+def two_state_kernel(delta: float) -> MarkovKernel:
     """Symmetric two-state kernel [[1-d, d], [d, 1-d]]."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return MarkovKernel(np.array([[1 - delta, delta], [delta, 1 - delta]]), config)
+    return MarkovKernel(np.array([[1 - delta, delta], [delta, 1 - delta]]))
 
 
 def stationary(kernel: MarkovKernel) -> Distribution:
@@ -163,16 +161,12 @@ def stationary(kernel: MarkovKernel) -> Distribution:
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     resid = float(np.max(np.abs(pi @ kernel.p - pi)))
-    if resid > kernel.config.stationary_tol:
+    if resid > STATIONARY_TOL:
         raise NotErgodic(f"stationary solve failed to converge (residual {resid:.3e})")
-    return Distribution(pi, kernel.config)
+    return Distribution(pi)
 
 
-def discriminant(
-    kernel: MarkovKernel,
-    pi: Distribution,
-    config: NumericsConfig = DEFAULT_NUMERICS,
-) -> np.ndarray:
+def discriminant(kernel: MarkovKernel, pi: Distribution) -> np.ndarray:
     """Symmetrized kernel D(x, y) = sqrt(pi(x)/pi(y)) p(x, y).
 
     Requires detailed balance pi(x) p(x,y) = pi(y) p(y,x); for reversible
@@ -183,19 +177,17 @@ def discriminant(
         raise ValueError("discriminant requires strictly positive pi")
     flow = w[:, None] * kernel.p
     balance_err = float(np.max(np.abs(flow - flow.T)))
-    if balance_err > config.balance_tol:
+    if balance_err > BALANCE_TOL:
         raise NotReversible(f"detailed balance violated (max flow asymmetry {balance_err:.3e})")
     d = np.sqrt(w[:, None] / w[None, :]) * kernel.p
     asym = float(np.max(np.abs(d - d.T)))
-    if asym > config.symmetry_tol:
+    if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"discriminant asymmetry {asym:.3e} exceeds tolerance")
     return d
 
 
 def metropolis_hastings(
-    proposal: MarkovKernel,
-    acceptance: Callable[[int, int], float],
-    config: NumericsConfig = DEFAULT_NUMERICS,
+    proposal: MarkovKernel, acceptance: Callable[[int, int], float]
 ) -> MarkovKernel:
     """Kernel with off-diagonal p(x,y) = T(x,y) A(x,y); rejected mass stays put."""
     n = proposal.n
@@ -206,7 +198,7 @@ def metropolis_hastings(
     np.fill_diagonal(p, 0.0)
     # Clip rounding dust: off-diagonal mass can exceed 1 by ~1 ulp.
     np.fill_diagonal(p, np.maximum(0.0, 1.0 - p.sum(axis=1)))
-    return MarkovKernel(p, config)
+    return MarkovKernel(p)
 
 
 def constant_acceptance(delta: float) -> Callable[[int, int], float]:
@@ -224,10 +216,10 @@ def metropolis_acceptance(pi: Distribution) -> Callable[[int, int], float]:
     return lambda x, y: min(1.0, w[y] / w[x])
 
 
-def spectral_gap(kernel: MarkovKernel, config: NumericsConfig = DEFAULT_NUMERICS) -> float:
+def spectral_gap(kernel: MarkovKernel) -> float:
     """1 - max{|l| : l eigenvalue of the discriminant, l != 1}."""
     pi = stationary(kernel)
-    d = discriminant(kernel, pi, config)
+    d = discriminant(kernel, pi)
     vals = np.linalg.eigvalsh(d)
     rest = np.delete(vals, int(np.argmin(np.abs(vals - 1.0))))
     return float(1.0 - np.max(np.abs(rest)))

@@ -103,7 +103,6 @@ class NoiseModel:
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed noise model JSON: {exc}") from exc
 
-
 ZERO_NOISE = NoiseModel(0.0, 0.0, 0.0)
 
 
@@ -151,9 +150,8 @@ def apply_trajectory(
     model: NoiseModel,
     seed: int,
     shot_index: int,
-    initial: StateVector | None = None,
 ) -> tuple[StateVector, dict[str, int]]:
-    """Evolve one noise trajectory; deterministic per (seed, shot_index).
+    """Evolve one noise trajectory from |0...0>; deterministic per (seed, shot_index).
 
     Measurement ops collapse the state and record (possibly flipped) bits.
     For terminal-measurement circuits the outcomes match the batched sampler
@@ -161,7 +159,6 @@ def apply_trajectory(
     stream inline, so only the sequential engine handles them.
     """
     n = circuit.num_qubits
-    state = initial if initial is not None else zero_state(n)
     measured = [op.targets[0] for op in circuit.ops if op.kind == "measure"]
     terminal = _is_terminal_measurement(circuit)
     rng = shot_rng(seed, shot_index)
@@ -171,7 +168,7 @@ def apply_trajectory(
         u_out = rng.random()
         flip_u = rng.random(len(measured)) if measured else np.empty(0)
         events = dict(_shot_events(rng, rng.random(len(rates)), rates, arities))
-        amps = state.amps
+        amps = zero_state(n).amps
         for site, (mat, targets, controls) in enumerate(gates):
             amps = apply_matrix(amps, mat, targets, controls, n)
             if site in events:
@@ -181,7 +178,7 @@ def apply_trajectory(
         outcomes: dict[str, int] = {}
         if measured:
             idx = tuple(circuit.index_of(q) for q in measured)
-            probs = marginal_probabilities(state.amps, idx, n)
+            probs = marginal_probabilities(state.amps, idx, n)[0]
             k = int(np.searchsorted(np.cumsum(probs), u_out, side="right"))
             k = min(k, len(probs) - 1)
             bits = format(k, f"0{len(measured)}b")
@@ -193,13 +190,13 @@ def apply_trajectory(
         return state, outcomes
 
     # Mid-circuit measurements: inline draws in program order.
-    amps = state.amps
+    amps = zero_state(n).amps
     outcomes = {}
     gates = circuit.gates()
     for op in circuit.ops:
         if op.kind == "measure":
             q = circuit.index_of(op.targets[0])
-            probs = marginal_probabilities(amps, (q,), n)
+            probs = marginal_probabilities(amps, (q,), n)[0]
             bit = int(rng.random() < probs[1])
             nd = amps.reshape((2,) * n).copy()
             sel = [slice(None)] * n
@@ -260,7 +257,7 @@ def sample_with_noise(
 
     if model.is_zero:
         final = evolve(_ground_batch(1, n), circuit.gates())
-        probs = marginal_probabilities(final, idx, n)
+        probs = marginal_probabilities(final, idx, n)[0]
         return sample_from_probabilities(probs, len(measured_qubits), shots, seed)
 
     gates, arities, rates = _sites(circuit, model)
@@ -286,7 +283,7 @@ def sample_with_noise(
     outcomes = np.empty(shots, dtype=np.intp)
     for first in range(0, len(patterns), chunk):
         final = _evolve_patterns(patterns[first : first + chunk], gates, n)
-        probs = marginal_probabilities(np.ascontiguousarray(final), idx, n, batched=True)
+        probs = marginal_probabilities(np.ascontiguousarray(final), idx, n)
         for row_probs, group in zip(probs, shots_of_row[first : first + chunk]):
             outcomes[group] = invert_cdf(row_probs, u_out[group])
     if model.p_meas > 0:

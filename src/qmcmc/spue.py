@@ -22,7 +22,7 @@ each other at construction time.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import acos, pi, sin, sqrt
 from typing import Sequence
 
@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from .circuit import Circuit, unitary_of
-from .config import DEFAULT_NUMERICS, NumericsConfig
+from .config import PHASE_TOL, PROPOSAL_TOL, SPECTRUM_TOL, SYMMETRY_TOL, UNITARY_TOL
 from .errors import ConstructionInvalid, NotSymmetric, NotUnitary, Unsupported
 from .markov import Distribution, MarkovKernel, discriminant, stationary
 
@@ -56,7 +56,6 @@ class PartialIsometry:
     prep_circuit: Circuit | None = None
     embed_indices: tuple[int, ...] | None = None
     zero_qubits: tuple[str, ...] = ()
-    config: NumericsConfig = field(default=DEFAULT_NUMERICS, repr=False)
 
     def __post_init__(self):
         m = _readonly(self.matrix)
@@ -64,7 +63,7 @@ class PartialIsometry:
             raise ValueError("isometry must be a matrix")
         gram = m.conj().T @ m
         err = float(np.max(np.abs(gram - np.eye(m.shape[1]))))
-        if err > self.config.unitary_tol:
+        if err > UNITARY_TOL:
             raise ValueError(f"isometry columns not orthonormal (deviation {err:.3e})")
         object.__setattr__(self, "matrix", m)
         if self.prep_circuit is not None:
@@ -72,7 +71,7 @@ class PartialIsometry:
                 raise ValueError("circuit realization requires embed_indices")
             realized = unitary_of(self.prep_circuit)[:, list(self.embed_indices)]
             dev = float(np.max(np.abs(realized - m)))
-            if dev > self.config.unitary_tol:
+            if dev > UNITARY_TOL:
                 raise ValueError(
                     f"isometry circuit disagrees with matrix by {dev:.3e}"
                 )
@@ -97,7 +96,6 @@ class Spue:
     isometry: PartialIsometry
     circuit: Circuit | None = None
     name: str = ""
-    config: NumericsConfig = field(default=DEFAULT_NUMERICS, repr=False)
 
     def __post_init__(self):
         u = _readonly(self.unitary)
@@ -105,14 +103,14 @@ class Spue:
         if u.shape != (dim, dim):
             raise ValueError("unitary dimension does not match isometry space")
         err = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-        if err > self.config.unitary_tol:
+        if err > UNITARY_TOL:
             raise NotUnitary(f"encoding unitary deviates from unitarity by {err:.3e}")
         object.__setattr__(self, "unitary", u)
         if self.circuit is not None:
             dev = float(np.max(np.abs(unitary_of(self.circuit) - u)))
-            if dev > self.config.unitary_tol:
+            if dev > UNITARY_TOL:
                 raise ValueError(f"unitary circuit disagrees with matrix by {dev:.3e}")
-        if float(np.max(np.abs(u - u.T))) > self.config.symmetry_tol:
+        if float(np.max(np.abs(u - u.T))) > SYMMETRY_TOL:
             warnings.warn(
                 f"encoding unitary {self.name or '<anonymous>'} is not symmetric; "
                 "only the encoded operator's symmetry is enforced",
@@ -151,7 +149,7 @@ def encoded_operator(spue: Spue) -> np.ndarray:
     e = spue.isometry.matrix
     a = e.conj().T @ spue.unitary @ e
     asym = float(np.max(np.abs(a - a.T)))
-    if asym > spue.config.symmetry_tol:
+    if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"encoded operator asymmetry {asym:.3e}")
     return a
 
@@ -180,7 +178,7 @@ def walk_operator(spue: Spue) -> WalkOperator:
         circuit.extend(refl_circuit.ops)
         circuit.freeze()
         dev = float(np.max(np.abs(unitary_of(circuit) - total)))
-        if dev > spue.config.unitary_tol:
+        if dev > UNITARY_TOL:
             raise ConstructionInvalid(f"walk circuit disagrees with matrix by {dev:.3e}")
     return WalkOperator(spue, refl, total, circuit, refl_circuit)
 
@@ -226,9 +224,7 @@ class SpectralReport:
         }
 
 
-def check_spectral_correspondence(
-    walk: WalkOperator, config: NumericsConfig | None = None
-) -> SpectralReport:
+def check_spectral_correspondence(walk: WalkOperator) -> SpectralReport:
     """Verify the eigenphase correspondence between the walk and A.
 
     For each eigenpair (lambda, v) of the encoded operator: interior
@@ -237,7 +233,6 @@ def check_spectral_correspondence(
     make Ev a fixed (respectively negated) vector of the walk.  Violations
     are collected in the report rather than raised.
     """
-    cfg = config or walk.spue.config
     a = encoded_operator(walk.spue)
     e = walk.spue.isometry.matrix
     u = walk.spue.unitary
@@ -248,11 +243,11 @@ def check_spectral_correspondence(
     predicted: list[float] = []
     for lam, v in zip(vals, vecs.T):
         ev = e @ v
-        if abs(abs(lam) - 1.0) <= cfg.phase_tol:
+        if abs(abs(lam) - 1.0) <= PHASE_TOL:
             lam_r = float(np.sign(lam))
             resid = float(np.linalg.norm(w @ ev - lam_r * ev))
             theta = 0.0 if lam_r > 0 else pi
-            entry = SpectralEntry(float(lam), theta, (theta,), resid, resid, resid <= cfg.phase_tol)
+            entry = SpectralEntry(float(lam), theta, (theta,), resid, resid, resid <= PHASE_TOL)
             predicted.append(theta)
         else:
             theta = float(np.arccos(np.clip(lam, -1.0, 1.0)))
@@ -263,7 +258,7 @@ def check_spectral_correspondence(
             err = float(
                 np.max(np.abs(np.sort(np.abs(phases)) - np.sort([theta, theta])))
             )
-            ok = resid <= cfg.phase_tol and err <= cfg.phase_tol
+            ok = resid <= PHASE_TOL and err <= PHASE_TOL
             entry = SpectralEntry(
                 float(lam), theta, tuple(sorted(float(p) for p in phases)), err, resid, ok
             )
@@ -274,7 +269,7 @@ def check_spectral_correspondence(
                 f"eigenvalue {entry.eigenvalue:.6f}: phase error {entry.phase_error:.2e}, "
                 f"subspace residual {entry.subspace_residual:.2e}"
             )
-    matched, greedy_violations = _greedy_phase_match(w, predicted, cfg.phase_tol)
+    matched, greedy_violations = _greedy_phase_match(w, predicted, PHASE_TOL)
     violations.extend(greedy_violations)
     return SpectralReport(tuple(entries), tuple(matched), tuple(violations))
 
@@ -314,7 +309,7 @@ def _greedy_phase_match(
 # -- concrete encodings --------------------------------------------------------
 
 
-def lcu_encoding(delta: float, config: NumericsConfig = DEFAULT_NUMERICS) -> Spue:
+def lcu_encoding(delta: float) -> Spue:
     """Two-qubit encoding of the two-state kernel as (1-d) I + d X.
 
     An ancilla rotation with amplitude angle theta = arccos(sqrt(1-d))
@@ -330,12 +325,12 @@ def lcu_encoding(delta: float, config: NumericsConfig = DEFAULT_NUMERICS) -> Spu
     iso_matrix = np.zeros((4, 2), dtype=complex)
     iso_matrix[0, 0] = iso_matrix[1, 1] = 1.0
     prep = Circuit(["a", "x"]).freeze()
-    iso = PartialIsometry(iso_matrix, prep, (0, 1), ("a",), config)
-    return Spue(u, iso, circ, name=f"lcu(delta={delta})", config=config)
+    iso = PartialIsometry(iso_matrix, prep, (0, 1), ("a",))
+    return Spue(u, iso, circ, name=f"lcu(delta={delta})")
 
 
-def lcu_walk(delta: float, config: NumericsConfig = DEFAULT_NUMERICS) -> WalkOperator:
-    return walk_operator(lcu_encoding(delta, config))
+def lcu_walk(delta: float) -> WalkOperator:
+    return walk_operator(lcu_encoding(delta))
 
 
 def two_state_row_prep(kernel: MarkovKernel) -> Circuit:
@@ -357,11 +352,7 @@ def two_state_row_prep(kernel: MarkovKernel) -> Circuit:
     return circ.freeze()
 
 
-def szegedy_encoding(
-    kernel: MarkovKernel,
-    pi: Distribution | None = None,
-    config: NumericsConfig = DEFAULT_NUMERICS,
-) -> Spue:
+def szegedy_encoding(kernel: MarkovKernel, pi: Distribution | None = None) -> Spue:
     """Szegedy quantization: step isometry |x>|p(x, .)> with the register swap.
 
     The encoded operator is the discriminant of the kernel, so reversibility
@@ -370,7 +361,7 @@ def szegedy_encoding(
     """
     if pi is None:
         pi = stationary(kernel)
-    discriminant(kernel, pi, config)  # raises NotReversible if broken
+    discriminant(kernel, pi)  # raises NotReversible if broken
     n = kernel.n
     q = max(1, int(np.ceil(np.log2(n))))
     dim = 4**q
@@ -392,23 +383,15 @@ def szegedy_encoding(
         embed = (0, 2)
         zero_qubits = ("y",)
         circuit = Circuit(["x", "y"]).swap("x", "y").freeze()
-    iso = PartialIsometry(iso_matrix, prep, embed, zero_qubits, config)
-    return Spue(u, iso, circuit, name=f"szegedy(n={n})", config=config)
+    iso = PartialIsometry(iso_matrix, prep, embed, zero_qubits)
+    return Spue(u, iso, circuit, name=f"szegedy(n={n})")
 
 
-def szegedy_walk(
-    kernel: MarkovKernel,
-    pi: Distribution | None = None,
-    config: NumericsConfig = DEFAULT_NUMERICS,
-) -> WalkOperator:
-    return walk_operator(szegedy_encoding(kernel, pi, config))
+def szegedy_walk(kernel: MarkovKernel, pi: Distribution | None = None) -> WalkOperator:
+    return walk_operator(szegedy_encoding(kernel, pi))
 
 
-def cswap_encoding(
-    proposal: MarkovKernel,
-    acceptance_angle: float,
-    config: NumericsConfig = DEFAULT_NUMERICS,
-) -> Spue:
+def cswap_encoding(proposal: MarkovKernel, acceptance_angle: float) -> Spue:
     """Metropolis-Hastings encoding with a coin-controlled register swap.
 
     The proposal register is computed by O_T, the coin is rotated by the
@@ -417,7 +400,7 @@ def cswap_encoding(
     delta = sin^2(acceptance_angle).  Only the deterministic flip proposal
     is realizable as O_T here.
     """
-    if not np.allclose(proposal.p, [[0, 1], [1, 0]], atol=1e-12):
+    if not np.allclose(proposal.p, [[0, 1], [1, 0]], atol=PROPOSAL_TOL):
         raise Unsupported("controlled-swap encoding supports the flip proposal only")
     if not 0 <= acceptance_angle <= pi / 2:
         raise ValueError("acceptance angle must lie in [0, pi/2]")
@@ -429,16 +412,12 @@ def cswap_encoding(
     prep.ry(-2 * acceptance_angle, "c")
     prep.freeze()
     iso_matrix = unitary_of(prep)[:, [0, 4]]
-    iso = PartialIsometry(iso_matrix, prep, (0, 4), ("y", "c"), config)
-    return Spue(u, iso, circ, name=f"cswap(theta={acceptance_angle})", config=config)
+    iso = PartialIsometry(iso_matrix, prep, (0, 4), ("y", "c"))
+    return Spue(u, iso, circ, name=f"cswap(theta={acceptance_angle})")
 
 
-def cswap_walk(
-    proposal: MarkovKernel,
-    acceptance_angle: float,
-    config: NumericsConfig = DEFAULT_NUMERICS,
-) -> WalkOperator:
-    return walk_operator(cswap_encoding(proposal, acceptance_angle, config))
+def cswap_walk(proposal: MarkovKernel, acceptance_angle: float) -> WalkOperator:
+    return walk_operator(cswap_encoding(proposal, acceptance_angle))
 
 
 # -- pair-space (dual) walk ----------------------------------------------------
@@ -454,9 +433,7 @@ def _edge_embed_index(tail: int, head: int) -> int:
     return (head << 4) | (tail << 3)
 
 
-def dual_walk(
-    acceptance_angle: float, config: NumericsConfig = DEFAULT_NUMERICS
-) -> tuple[WalkOperator, Circuit]:
+def dual_walk(acceptance_angle: float) -> tuple[WalkOperator, Circuit]:
     """Qubitized walk for the Metropolis-Hastings process on directed edges.
 
     The edge process keeps the current edge with probability 1 - d and
@@ -490,8 +467,8 @@ def dual_walk(
 
     embed = tuple(_edge_embed_index(e >> 1, e & 1) for e in range(_EDGE_COUNT))
     iso_matrix = unitary_of(prep)[:, list(embed)]
-    iso = PartialIsometry(iso_matrix, prep, embed, ("s", "it", "ih", "c"), config)
-    spue = Spue(u, iso, u_circ, name=f"dual(theta={theta})", config=config)
+    iso = PartialIsometry(iso_matrix, prep, embed, ("s", "it", "ih", "c"))
+    spue = Spue(u, iso, u_circ, name=f"dual(theta={theta})")
     walk = walk_operator(spue)
 
     # Build-time self-test: the encoded operator must be the lazy reversal
@@ -502,12 +479,12 @@ def dual_walk(
         rev[(head << 1) | tail, e] = 1.0
     expected = (1 - delta) * np.eye(4) + delta * rev
     a = encoded_operator(spue)
-    if float(np.max(np.abs(a - expected))) > config.spectrum_tol:
+    if float(np.max(np.abs(a - expected))) > SPECTRUM_TOL:
         raise ConstructionInvalid("pair-space encoding does not match the edge kernel")
     v_proper = np.zeros(4)
     v_proper[0b01] = v_proper[0b10] = 1 / sqrt(2)
     fixed = iso_matrix @ v_proper
-    if float(np.linalg.norm(walk.total @ fixed - fixed)) > config.phase_tol:
+    if float(np.linalg.norm(walk.total @ fixed - fixed)) > PHASE_TOL:
         raise ConstructionInvalid("uniform proper-edge state is not fixed by the walk")
 
     eigenstate_prep = Circuit(qubits)
@@ -517,6 +494,6 @@ def dual_walk(
     eigenstate_prep.freeze()
     if abs(theta - pi / 4) < 1e-12:
         v_state = unitary_of(eigenstate_prep)[:, 0]
-        if float(np.linalg.norm(walk.total @ v_state - v_state)) > config.phase_tol:
+        if float(np.linalg.norm(walk.total @ v_state - v_state)) > PHASE_TOL:
             raise ConstructionInvalid("eigenstate preparer output is not fixed by the walk")
     return walk, eigenstate_prep

@@ -11,13 +11,13 @@ or in batches without changing the results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._apply import apply_matrix, evolve, marginal_probabilities
 from .circuit import NON_UNITARY_KINDS, Circuit, GateApplication
-from .config import DEFAULT_NUMERICS, NumericsConfig
+from .config import BRANCH_NORM_CUTOFF, NORM_TOL, POST_SELECT_CUTOFF
 from .errors import AddressingError, PostSelectImpossible
 from .rng import ShotStreams
 
@@ -31,7 +31,6 @@ class StateVector:
 
     num_qubits: int
     amps: np.ndarray
-    config: NumericsConfig = field(default=DEFAULT_NUMERICS, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.num_qubits <= MAX_QUBITS:
@@ -40,7 +39,7 @@ class StateVector:
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(f"expected {2**self.num_qubits} amplitudes, got {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > self.config.norm_tol:
+        if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -93,7 +92,7 @@ def apply_gate(state: StateVector, gate: GateApplication, index_of: dict[str, in
 
 def _applied(state: StateVector, mat: np.ndarray, targets, controls) -> StateVector:
     amps = apply_matrix(state.amps, mat, targets, controls, state.num_qubits)
-    return StateVector(state.num_qubits, amps, state.config)
+    return StateVector(state.num_qubits, amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,20 +101,9 @@ class SimulationResult:
     measurements: dict[str, int]
 
 
-def _initial(circuit: Circuit, initial: StateVector | None) -> StateVector:
-    state = initial if initial is not None else zero_state(circuit.num_qubits)
-    if state.num_qubits != circuit.num_qubits:
-        raise ValueError("initial state size does not match circuit")
-    return state
-
-
-def simulate(
-    circuit: Circuit,
-    initial: StateVector | None = None,
-    rng: np.random.Generator | None = None,
-) -> SimulationResult:
-    """Run a circuit front to back; measurements collapse using ``rng``."""
-    state = _initial(circuit, initial)
+def simulate(circuit: Circuit, rng: np.random.Generator | None = None) -> SimulationResult:
+    """Run a circuit from |0...0> front to back; measurements collapse using ``rng``."""
+    state = zero_state(circuit.num_qubits)
     if rng is None and circuit.has_measurement():
         raise ValueError("circuit contains measurements; provide an rng")
     gates = circuit.gates()
@@ -134,20 +122,20 @@ def simulate(
     return SimulationResult(state, outcomes)
 
 
-def statevector_of(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Final state of a measurement-free circuit."""
+def statevector_of(circuit: Circuit) -> StateVector:
+    """Final state of a measurement-free circuit run from |0...0>."""
     if circuit.has_measurement():
         raise ValueError("circuit contains measurements; simulate it with an rng")
-    state = _initial(circuit, initial)
-    batch = state.amps.reshape((1,) + (2,) * circuit.num_qubits)
-    return StateVector(state.num_qubits, evolve(batch, circuit.gates()).reshape(-1), state.config)
+    n = circuit.num_qubits
+    batch = zero_state(n).amps.reshape((1,) + (2,) * n)
+    return StateVector(n, evolve(batch, circuit.gates()).reshape(-1))
 
 
 def measure(
     state: StateVector, qubits: tuple[int, ...], rng: np.random.Generator
 ) -> MeasurementRecord:
     """Born-rule measurement of the given qubits; collapses and renormalizes."""
-    probs = marginal_probabilities(state.amps, qubits, state.num_qubits)
+    probs = marginal_probabilities(state.amps, qubits, state.num_qubits)[0]
     outcome = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     outcome = min(outcome, len(probs) - 1)
     bits = format(outcome, f"0{len(qubits)}b")
@@ -163,20 +151,18 @@ def _project(state: StateVector, qubits: tuple[int, ...], bits: str) -> StateVec
         nd[tuple(sel)] = 0.0
     flat = nd.reshape(-1)
     norm = np.linalg.norm(flat)
-    if norm < 1e-12:
+    if norm < BRANCH_NORM_CUTOFF:
         raise PostSelectImpossible(f"branch {bits} on qubits {qubits} has zero probability")
-    return StateVector(state.num_qubits, flat / norm, state.config)
+    return StateVector(state.num_qubits, flat / norm)
 
 
-def post_select(
-    state: StateVector, qubit: int, value: int, config: NumericsConfig = DEFAULT_NUMERICS
-) -> tuple[StateVector, float]:
+def post_select(state: StateVector, qubit: int, value: int) -> tuple[StateVector, float]:
     """Condition on one qubit reading ``value``; returns (collapsed state, probability)."""
     if value not in (0, 1):
         raise ValueError("post-selected value must be 0 or 1")
-    probs = marginal_probabilities(state.amps, (qubit,), state.num_qubits)
+    probs = marginal_probabilities(state.amps, (qubit,), state.num_qubits)[0]
     prob = float(probs[value])
-    if prob <= config.post_select_cutoff:
+    if prob <= POST_SELECT_CUTOFF:
         raise PostSelectImpossible(
             f"qubit {qubit} = {value} has probability {prob:.3e} <= cutoff"
         )
@@ -197,7 +183,7 @@ def sample(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     qubits = tuple(qubits)
-    probs = marginal_probabilities(state.amps, qubits, state.num_qubits)
+    probs = marginal_probabilities(state.amps, qubits, state.num_qubits)[0]
     return sample_from_probabilities(probs, len(qubits), shots, seed)
 
 
