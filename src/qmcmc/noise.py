@@ -41,6 +41,7 @@ from .errors import SchemaError
 from .rng import ShotStreams, shot_rng
 from .statevector import (
     StateVector,
+    _project,
     from_amplitudes,
     invert_cdf,
     outcome_counts,
@@ -198,12 +199,7 @@ def apply_trajectory(
             q = circuit.index_of(op.targets[0])
             probs = marginal_probabilities(amps, (q,), n)[0]
             bit = int(rng.random() < probs[1])
-            nd = amps.reshape((2,) * n).copy()
-            sel = [slice(None)] * n
-            sel[q] = 1 - bit
-            nd[tuple(sel)] = 0
-            amps = nd.reshape(-1)
-            amps = amps / np.linalg.norm(amps)
+            amps = _project(StateVector(n, amps), (q,), str(bit)).amps
             if rng.random() < model.p_meas:
                 bit ^= 1
             outcomes[op.targets[0]] = bit

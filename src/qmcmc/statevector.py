@@ -136,8 +136,7 @@ def measure(
 ) -> MeasurementRecord:
     """Born-rule measurement of the given qubits; collapses and renormalizes."""
     probs = marginal_probabilities(state.amps, qubits, state.num_qubits)[0]
-    outcome = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    outcome = min(outcome, len(probs) - 1)
+    outcome = int(invert_cdf(probs, rng.random()))
     bits = format(outcome, f"0{len(qubits)}b")
     collapsed = _project(state, qubits, bits)
     return MeasurementRecord(bits, collapsed)
@@ -204,7 +203,8 @@ def sample_from_probabilities(
 def invert_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Outcome index for each uniform in ``u`` under the law ``probs``.
 
-    The inversion rule of both shot samplers: ``searchsorted(side="right")``
+    The inversion rule of both shot samplers and of ``measure``:
+    ``searchsorted(side="right")``
     on the CDF, whose last entry is raised to at least 1 so that rounding
     cannot leave a uniform beyond it, clamped to the last outcome.
     """
