@@ -87,9 +87,9 @@ class ExperimentSpec:
         try:
             fields = dict(obj)
             if fields.get("noise") is not None:
-                fields["noise"] = NoiseModel(**fields["noise"])
+                fields["noise"] = NoiseModel.from_dict(fields["noise"])
             return cls(**fields)
-        except (TypeError, ValueError) as exc:
+        except (SchemaError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed experiment spec: {exc}") from exc
 
 

@@ -92,17 +92,35 @@ class NoiseModel:
         )
 
     @classmethod
+    def from_dict(cls, obj) -> "NoiseModel":
+        """Inverse of ``to_json``'s object; a missing rate is 0.0 and a missing
+        ``attach`` is ``"native"``.
+
+        A non-object, an unknown key or a bad value raises ``SchemaError``.
+        """
+        if not isinstance(obj, dict):
+            raise SchemaError(f"noise model must be a JSON object, got {type(obj).__name__}")
+        unknown = sorted(set(obj) - {"p1", "p2", "p_meas", "attach"})
+        if unknown:
+            raise SchemaError(f"unknown noise model key(s): {', '.join(unknown)}")
+        rates = {name: obj.get(name, 0.0) for name in ("p1", "p2", "p_meas")}
+        for name, v in rates.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SchemaError(f"noise rate {name} must be a number, got {v!r}")
+        try:
+            rates = {name: float(v) for name, v in rates.items()}
+            return cls(**rates, attach=obj.get("attach", "native"))
+        except (OverflowError, ValueError) as exc:
+            raise SchemaError(f"malformed noise model: {exc}") from exc
+
+    @classmethod
     def from_json(cls, text: str) -> "NoiseModel":
         try:
             obj = json.loads(text)
-            return cls(
-                p1=float(obj.get("p1", 0.0)),
-                p2=float(obj.get("p2", 0.0)),
-                p_meas=float(obj.get("p_meas", 0.0)),
-                attach=obj.get("attach", "native"),
-            )
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except json.JSONDecodeError as exc:
             raise SchemaError(f"malformed noise model JSON: {exc}") from exc
+        return cls.from_dict(obj)
+
 
 ZERO_NOISE = NoiseModel(0.0, 0.0, 0.0)
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qmcmc.markov import Distribution, MarkovKernel
+from qmcmc.noise import NoiseModel
 
 
 def random_reversible_kernel(rng: np.random.Generator, n: int) -> tuple[MarkovKernel, Distribution]:
@@ -45,6 +47,18 @@ def random_circuit(rng: np.random.Generator, qubits: list[str], depth: int):
             a, b = rng.choice(qubits, size=2, replace=False)
             circ._add("rz", (b,), controls=(a,), params=(rng.uniform(-np.pi, np.pi),))
     return circ
+
+
+@st.composite
+def noise_models(draw):
+    """Valid noise models with p1 <= p2, so construction does not warn."""
+    p2 = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return NoiseModel(
+        p1=draw(st.floats(0.0, p2)),
+        p2=p2,
+        p_meas=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        attach=draw(st.sampled_from(("native", "logical"))),
+    )
 
 
 @pytest.fixture

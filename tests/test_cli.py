@@ -84,6 +84,21 @@ def test_transpile_report_subcommand(capsys):
     assert "szegedy-state-prep" in payload
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["[1, 2]", '"x"', '{"p2": 1e-3, "pmeas": 0.5}'],
+    ids=["list", "string", "unknown-key"],
+)
+def test_run_malformed_noise_file_exits_2(tmp_path, capsys, content):
+    noise_file = tmp_path / "noise.json"
+    noise_file.write_text(content)
+    code = main([
+        "run", "--experiment", "lcu-state-prep", "--shots", "10", "--noise", str(noise_file),
+    ])
+    assert code == 2
+    assert "noise model" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--experiment", "not-a-thing"])

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmcmc
 from qmcmc.errors import SchemaError
@@ -21,6 +23,8 @@ from qmcmc.experiments import (
 from qmcmc.noise import NoiseModel, ZERO_NOISE
 from qmcmc.references import experiment_reference, reference_histogram
 
+from conftest import noise_models
+
 
 class TestSpecValidation:
     def test_unknown_name(self):
@@ -34,6 +38,23 @@ class TestSpecValidation:
     def test_default_angles(self):
         assert ExperimentSpec("cswap-state-prep").angle() == pytest.approx(np.pi / 6)
         assert ExperimentSpec("dual-overlap").angle() == pytest.approx(np.pi / 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spec=st.builds(
+            ExperimentSpec,
+            name=st.sampled_from(EXPERIMENT_NAMES),
+            delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            acceptance_angle=st.none() | st.floats(0.0, np.pi / 2),
+            shots=st.integers(1, 10**6),
+            seed=st.integers(0, 2**63 - 1),
+            noise=st.none() | noise_models(),
+            t=st.integers(1, 8),
+            encoding=st.sampled_from(("lcu", "szegedy", "cswap", "dual")),
+        )
+    )
+    def test_dict_round_trip_property(self, spec):
+        assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 class TestStatePrepExperiments:

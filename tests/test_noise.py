@@ -1,3 +1,4 @@
+import json
 from itertools import product
 from math import pi
 
@@ -9,10 +10,13 @@ from scipy.stats import chi2
 
 from qmcmc import noise
 from qmcmc.circuit import Circuit
+from qmcmc.errors import SchemaError
 from qmcmc.experiments import cswap_state_prep_circuit
 from qmcmc.noise import NoiseModel, ZERO_NOISE, apply_trajectory, sample_with_noise
 from qmcmc.statevector import sample, statevector_of
 from qmcmc.transpile import transpile_native
+
+from conftest import noise_models
 
 
 def _bell_circuit():
@@ -62,6 +66,21 @@ def _controlled_circuits(draw):
     return circ.freeze()
 
 
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+# Objects are keyed mostly by the model's own keys (plus a misspelling), so
+# the value checks are reached as well as the key check.
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | st.sampled_from(("native", "logical")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(("p1", "p2", "p_meas", "attach", "pmeas")) | st.text(max_size=4),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=8,
+)
+
+
 class TestNoiseModel:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -77,6 +96,24 @@ class TestNoiseModel:
         model = NoiseModel(p1=1e-4, p2=2e-3, p_meas=5e-4, attach="logical")
         back = NoiseModel.from_json(model.to_json())
         assert back == model
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=noise_models())
+    def test_json_round_trip_property(self, model):
+        assert NoiseModel.from_json(model.to_json()) == model
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_JSON_VALUES)
+    def test_from_json_accepts_or_raises_schema_error(self, value):
+        # Any JSON value either parses into a model or raises SchemaError.
+        try:
+            model = NoiseModel.from_json(json.dumps(value))
+        except SchemaError:
+            return
+        assert isinstance(model, NoiseModel)
+
+    def test_missing_keys_take_documented_defaults(self):
+        assert NoiseModel.from_json('{"p2": 1e-3}') == NoiseModel(0.0, 1e-3, 0.0, "native")
 
     def test_zero_flag(self):
         assert ZERO_NOISE.is_zero
