@@ -93,8 +93,8 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, obj) -> "NoiseModel":
-        """Inverse of ``to_json``'s object; a missing rate is 0.0 and a missing
-        ``attach`` is ``"native"``.
+        """Model from the object that ``to_json`` writes; a missing rate is 0.0
+        and a missing ``attach`` is ``"native"``.
 
         A non-object, an unknown key or a bad value raises ``SchemaError``.
         """
