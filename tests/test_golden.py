@@ -1,8 +1,8 @@
-"""Golden SHA-256 digests of reports, states and unitaries at fixed seeds.
+"""Golden SHA-256 digests of reports, states, unitaries and native circuits.
 
 These pin the exact bits the package produces, so a change to the simulator
-paths that moves any histogram, any float in a report or any amplitude fails
-here.  Two runs in one process agreeing (``test_reproducible_byte_identical``)
+paths that moves any histogram, any float in a report, any amplitude or any
+native gate fails here.  Two runs in one process agreeing (``test_reproducible_byte_identical``)
 cannot catch that.
 
 Array digests cover the raw complex128 bytes, so they assume the same NumPy
@@ -26,6 +26,7 @@ from qmcmc.experiments import (
     ExperimentSpec,
     cswap_state_prep_circuit,
     flip_proposal,
+    reference_pipelines,
     run,
     run_with_comparison,
 )
@@ -108,6 +109,10 @@ def _dual_eigenstate() -> str:
     return _array_sha(statevector_of(dual_walk(pi / 4)[1]).amps)
 
 
+def _native(name: str) -> str:
+    return _sha(transpile_native(reference_pipelines()[name]).circuit.to_json())
+
+
 def _mid_circuit() -> Circuit:
     circ = Circuit(["a", "b", "c"]).h("a").cx("a", "b")
     circ.measure("a")
@@ -139,6 +144,7 @@ CASES = {
     **{f"unitary_of/{enc}": (lambda e=enc: _walk_unitary(e)) for enc in ("lcu", "szegedy", "cswap", "dual")},
     "statevector_of/dual-eigenstate": _dual_eigenstate,
     "apply_trajectory/terminal": lambda: _trajectories("terminal"),
+    **{f"transpile/{name}": (lambda n=name: _native(n)) for name in reference_pipelines()},
     "apply_trajectory/mid-circuit": lambda: _trajectories("mid-circuit"),
 }
 
@@ -166,6 +172,12 @@ GOLDEN = {
     "spectral/lcu": "7d1d25caa0c8707620ae81529795817a36a33961a977109baf9e1c3c1688ff33",
     "spectral/szegedy": "66841ea1c47390403738435be87a3314b35d5fac5f0f4920ad90af9a5aed6d66",
     "statevector_of/dual-eigenstate": "f83d31764a7cdacd7a66da14a094500fa6a7b7620e82316a63495997e6d0baf0",
+    "transpile/cswap-state-prep": "90c37b526e1fcd05487162dd9c41e0fd201dfd160818e296825699ab4a079928",
+    "transpile/dual-eigenstate": "38c6fb7fa452487d0d2f463824dc294fbfce117c8d3738c38efbb44d8b7b03a1",
+    "transpile/dual-overlap": "03afd20003014e518a6504476bda12b570d0678563f4bbe9a9b0ae7cc0ec5a7e",
+    "transpile/lcu-qae": "84d3944bb9542ca7e8558882428a94fc2941e745def0a7fc1aa5f65938d533a0",
+    "transpile/lcu-state-prep": "142dc73c1a7f43dec808ba8af467ee3cb845977f601394345004c139adc3ed4b",
+    "transpile/szegedy-state-prep": "ef7166fccf5f99d2159b1ffbd24921e2ca19fbcc7e8e07d212ab2c9a80965e96",
     "unitary_of/cswap": "8ba11e8915287f859dd69086c5d3cd38217bf738e8a6e9ef852af89073f4a8a5",
     "unitary_of/dual": "bb1d1f124e20cc78e782900a459aa5e20cf54d9873e8849bafe347eae033d377",
     "unitary_of/lcu": "4bd52808878b234eba3d1bc39cc40ed31640c513cd673b7f2118c05436c3f30f",

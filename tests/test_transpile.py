@@ -6,6 +6,7 @@ from scipy.stats import unitary_group
 
 from qmcmc.circuit import Circuit, phases_equal_up_to_global, unitary_of
 from qmcmc.errors import Unsupported
+from qmcmc.experiments import reference_pipelines
 from qmcmc.transpile import NATIVE_KINDS, transpile_native, zyz_angles
 
 from conftest import random_circuit
@@ -116,14 +117,24 @@ class TestGenericMatrices:
             transpile_native(circ)
 
 
+def _battery():
+    rng = np.random.default_rng(424242)
+    return [random_circuit(rng, ["a", "b", "c", "d"], depth=12) for _ in range(50)]
+
+
 class TestRoundTripSuite:
     def test_fifty_random_four_qubit_circuits(self):
         # acceptance-adjacent: transpile must preserve the unitary up to
         # global phase for a broad random circuit battery
-        rng = np.random.default_rng(424242)
-        for i in range(50):
-            circ = random_circuit(rng, ["a", "b", "c", "d"], depth=12)
+        for circ in _battery():
             _assert_native_equivalent(circ)
+
+    def test_idempotent_on_native_output(self):
+        # a leftover mergeable pair or zero-angle rotation would be rewritten
+        # by a second pass
+        for circ in list(reference_pipelines().values()) + _battery():
+            native = transpile_native(circ).circuit
+            assert transpile_native(native).circuit.to_json() == native.to_json()
 
     def test_measurements_pass_through(self):
         circ = Circuit(["a", "b"]).h("a").cx("a", "b")
