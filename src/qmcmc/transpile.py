@@ -4,15 +4,18 @@ The pipeline is correctness-first: composite and multi-controlled gates are
 rewritten with standard identities (controlled-swap via CX + Toffoli, k
 controls via the square-root recursion, generic matrices via two-level
 rotations with Gray-code addressing), two-qubit gates via a fixed ZZPhase
-template, and single-qubit gates via ZYZ Euler angles.  The only
-optimization applied afterwards is adjacent merge/cancel; gate-count parity
-with any particular compiler is out of scope, so counts are reported against
-optional reference numbers and large ratios are flagged as warnings only.
+template, and single-qubit gates via ZYZ Euler angles (Barenco et al. 1995,
+"Elementary gates for quantum computation").  Lowering is one recursive pass:
+every rule yields gates with fewer controls or fewer targets, or native ones,
+and each of them is lowered in turn.  The only optimization applied
+afterwards is one peephole pass that merges adjacent rotations and drops the
+ones that cancel; gate-count parity with any particular compiler is out of
+scope, so counts are reported against optional reference numbers and large
+ratios are flagged as warnings only.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import atan2, pi
 
@@ -25,6 +28,8 @@ from .errors import Unsupported
 NATIVE_KINDS = {"phasedx", "rz", "zzphase", "measure"}
 
 _ANGLE_EPS = 1e-12
+
+_ROTATIONS = ("rz", "zzphase", "phasedx")
 
 
 @dataclass(frozen=True)
@@ -39,9 +44,6 @@ class TranspileReport:
     def count_report(self) -> dict:
         return {"counts": dict(self.counts), "reference": self.reference}
 
-    def to_json(self) -> str:
-        return json.dumps(self.count_report())
-
 
 def transpile_native(
     circuit: Circuit, reference: dict[str, int] | None = None
@@ -51,23 +53,7 @@ def transpile_native(
     The output is unitary-equivalent to the input up to global phase
     (measurement-free case); measurements pass through in place.
     """
-    ops = list(circuit.ops)
-    for _ in range(64):
-        new_ops: list[GateApplication] = []
-        changed = False
-        for op in ops:
-            lowered = _lower(op)
-            if lowered is None:
-                new_ops.append(op)
-            else:
-                new_ops.extend(lowered)
-                changed = True
-        ops = new_ops
-        if not changed:
-            break
-    else:
-        raise Unsupported("transpilation did not reach a fixpoint")
-    ops = _cleanup(ops)
+    ops = _merged([g for op in circuit.ops for g in _lowered(op)])
     out = Circuit(circuit.qubits).extend(ops).freeze()
     counts = out.gate_counts()
     warnings = []
@@ -81,19 +67,19 @@ def transpile_native(
     return TranspileReport(out, counts, reference, tuple(warnings))
 
 
-def _lower(op: GateApplication) -> list[GateApplication] | None:
-    """One rewriting step; None means the op is already native."""
-    if op.kind == "measure":
-        return None
+def _lowered(op: GateApplication) -> list[GateApplication]:
+    """``op`` as native gates: apply one rewrite rule, then lower each piece."""
+    if op.kind in NATIVE_KINDS and not op.controls:
+        return [op]
     if op.kind == "reset":
         raise Unsupported("reset has no native decomposition")
-    if op.kind in ("phasedx", "rz", "zzphase") and not op.controls:
-        return None
-    if op.kind == "unitary":
-        return _lower_generic(op)
-    if op.controls:
-        return _lower_controlled(op)
-    return _lower_uncontrolled(op)
+    if op.kind == "unitary" and len(op.targets) > 1:
+        pieces = _lower_generic(op)
+    elif op.controls:
+        pieces = _lower_controlled(op)
+    else:
+        pieces = _lower_uncontrolled(op)
+    return [g for piece in pieces for g in _lowered(piece)]
 
 
 # -- control-free rewrites ---------------------------------------------------
@@ -132,8 +118,6 @@ def _lower_uncontrolled(op: GateApplication) -> list[GateApplication]:
         out.append(GateApplication("phasedx", t, params=(b_angle, pi / 2)))
     if abs(a_angle) > _ANGLE_EPS:
         out.append(GateApplication("rz", t, params=(a_angle,)))
-    if not out:
-        out.append(GateApplication("rz", t, params=(0.0,)))
     return out
 
 
@@ -181,22 +165,13 @@ def _single_controlled_1q(op: GateApplication) -> list[GateApplication]:
         return [GateApplication("cx", (c, t[0]))]
     if op.kind == "z":
         return [GateApplication("cz", (c, t[0]))]
-    if op.kind == "rz":
+    if op.kind in ("rz", "ry"):
         (theta,) = op.params
         cx = GateApplication("cx", (c, t[0]))
         return [
-            GateApplication("rz", t, params=(theta / 2,)),
+            GateApplication(op.kind, t, params=(theta / 2,)),
             cx,
-            GateApplication("rz", t, params=(-theta / 2,)),
-            cx,
-        ]
-    if op.kind == "ry":
-        (theta,) = op.params
-        cx = GateApplication("cx", (c, t[0]))
-        return [
-            GateApplication("ry", t, params=(theta / 2,)),
-            cx,
-            GateApplication("ry", t, params=(-theta / 2,)),
+            GateApplication(op.kind, t, params=(-theta / 2,)),
             cx,
         ]
     if op.kind == "phase":
@@ -228,8 +203,6 @@ def _single_controlled_1q(op: GateApplication) -> list[GateApplication]:
 
 def _barenco(op: GateApplication) -> list[GateApplication]:
     """k>=2 controls on a single-qubit gate via the square-root recursion."""
-    if len(op.targets) != 1:
-        raise Unsupported(f"cannot lower multi-target gate with controls: {op.kind}")
     cs, t = op.controls, op.targets[0]
     v = _unitary_sqrt(op.base_matrix())
     front, back = cs[:-1], cs[-1]
@@ -251,13 +224,7 @@ def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
 
 
 def _lower_generic(op: GateApplication) -> list[GateApplication]:
-    k = len(op.targets)
-    if k == 1 and not op.controls:
-        return _lower_uncontrolled(op)
-    if k == 1:
-        if len(op.controls) == 1:
-            return _single_controlled_1q(op)
-        return _barenco(op)
+    """Multi-target matrix as two-level rotations, each keeping the op's controls."""
     pieces = _two_level_ops(op.matrix, op.targets)
     if op.controls:
         pieces = [
@@ -353,50 +320,33 @@ def _mc_gate_at(
 # -- cleanup -----------------------------------------------------------------
 
 
-def _cleanup(ops: list[GateApplication]) -> list[GateApplication]:
-    for _ in range(32):
-        out: list[GateApplication] = []
-        changed = False
-        for op in ops:
-            if op.kind in ("rz", "zzphase", "phasedx") and abs(op.params[0]) < _ANGLE_EPS:
-                changed = True
-                continue
-            prev = out[-1] if out else None
-            merged = _merge(prev, op) if prev is not None else None
-            if merged is not None:
-                out.pop()
-                if merged != "cancel":
-                    out.append(merged)
-                changed = True
-            else:
-                out.append(op)
-        ops = out
-        if not changed:
-            return ops
-    return ops
+def _merged(ops: list[GateApplication]) -> list[GateApplication]:
+    """Merge adjacent rotations and drop zero or cancelled ones, in one pass.
+
+    ``ops`` are native, so none carries controls.  A merged gate keeps the
+    kind, targets and phase axis of the gate it replaces, so it cannot merge
+    with the gate below it: one pass is the fixpoint.
+    """
+    out: list[GateApplication] = []
+    for op in ops:
+        if op.kind in _ROTATIONS and abs(op.params[0]) < _ANGLE_EPS:
+            continue
+        if not (out and _mergeable(out[-1], op)):
+            out.append(op)
+            continue
+        prev = out.pop()
+        angle = prev.params[0] + op.params[0]
+        if abs(angle) >= _ANGLE_EPS:
+            out.append(GateApplication(prev.kind, prev.targets, params=(angle,) + prev.params[1:]))
+    return out
 
 
-def _merge(a: GateApplication, b: GateApplication):
-    """Merge two literally adjacent gates; returns None, 'cancel', or a gate."""
-    if a.controls or b.controls:
-        return None
-    if a.kind == b.kind == "rz" and a.targets == b.targets:
-        theta = a.params[0] + b.params[0]
-        if abs(theta) < _ANGLE_EPS:
-            return "cancel"
-        return GateApplication("rz", a.targets, params=(theta,))
-    if a.kind == b.kind == "zzphase" and set(a.targets) == set(b.targets):
-        gamma = a.params[0] + b.params[0]
-        if abs(gamma) < _ANGLE_EPS:
-            return "cancel"
-        return GateApplication("zzphase", a.targets, params=(gamma,))
-    if (
-        a.kind == b.kind == "phasedx"
-        and a.targets == b.targets
-        and abs(a.params[1] - b.params[1]) < _ANGLE_EPS
-    ):
-        theta = a.params[0] + b.params[0]
-        if abs(theta) < _ANGLE_EPS:
-            return "cancel"
-        return GateApplication("phasedx", a.targets, params=(theta, a.params[1]))
-    return None
+def _mergeable(a: GateApplication, b: GateApplication) -> bool:
+    """Rotations of one kind about one axis on the same qubits."""
+    if a.kind != b.kind or a.kind not in _ROTATIONS:
+        return False
+    if a.kind == "zzphase":
+        return set(a.targets) == set(b.targets)
+    return a.targets == b.targets and (
+        a.kind == "rz" or abs(a.params[1] - b.params[1]) < _ANGLE_EPS
+    )
