@@ -124,13 +124,6 @@ class PhaseEstimate:
     t: int
     histogram: dict[int, int]
 
-    @property
-    def shots(self) -> int:
-        return sum(self.histogram.values())
-
-    def phases(self) -> dict[float, int]:
-        return {k / 2**self.t: c for k, c in self.histogram.items()}
-
 
 def inverse_qft_ops(circ: Circuit, wires: list[str]):
     """Swap-free inverse QFT; wire wires[j] ends up carrying bit 2^(t-1-j) of k."""
@@ -181,6 +174,8 @@ def phase_estimation(
     n_sys = input_state.num_qubits
     dim = input_state.dim
     if isinstance(unitary, Circuit):
+        if unitary.num_qubits != n_sys:
+            raise ValueError("unitary dimension does not match input state")
         circ, wires = qpe_circuit(unitary, t)
         gates = circ.gates()
         wire_index = tuple(circ.index_of(w) for w in wires)

@@ -101,6 +101,14 @@ class TestPhaseEstimation:
         b = phase_estimation(walk.total, state, t=2, shots=500, seed=9)
         assert a.histogram == b.histogram
 
+    @pytest.mark.parametrize("n_state", [2, 4])
+    def test_width_mismatch_rejected_for_both_inputs(self, n_state):
+        circ = Circuit(["a", "b", "c"]).h("a").cx("a", "b").z("c")
+        state = zero_state(n_state)
+        for unitary in (circ, unitary_of(circ)):
+            with pytest.raises(ValueError, match="dimension does not match"):
+                phase_estimation(unitary, state, t=2, shots=10, seed=0)
+
     def test_spread_phase_matches_dirichlet_kernel(self):
         u = np.diag([np.exp(2j * np.pi / 3), 1.0])
         pe = phase_estimation(u, basis_state(1, 0), t=2, shots=50_000, seed=5)
