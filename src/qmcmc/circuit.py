@@ -278,7 +278,7 @@ class Circuit:
         """
         qs = list(qubits)
         for size in range(1, len(qs) + 1):
-            for subset in _subsets(qs, size):
+            for subset in combinations(qs, size):
                 self._add("z", (subset[-1],), tuple(subset[:-1]))
         return self
 
@@ -392,10 +392,6 @@ class Circuit:
         return cls.from_dict(json.loads(text))
 
 
-def _subsets(items: list, size: int):
-    return combinations(items, size)
-
-
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the ordered gate product; measurements are rejected."""
     if circuit.has_measurement():
@@ -419,17 +415,3 @@ def controlled(circuit: Circuit, control: str) -> Circuit:
             GateApplication(op.kind, op.targets, op.controls + (control,), op.params, op.matrix)
         )
     return out
-
-
-def phases_equal_up_to_global(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
-    """True if u = e^{ia} v for some real a, within elementwise tolerance."""
-    if u.shape != v.shape:
-        return False
-    k = int(np.argmax(np.abs(v)))
-    ref = v.flat[k]
-    if abs(ref) < 1e-14:
-        return bool(np.allclose(u, v, atol=tol, rtol=0))
-    phase = u.flat[k] / ref
-    if abs(abs(phase) - 1.0) > 1e-6:
-        return False
-    return bool(np.allclose(u, phase * v, atol=tol, rtol=0))

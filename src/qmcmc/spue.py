@@ -128,10 +128,8 @@ class WalkOperator:
     """Reflection (2 E E^dag - 1) times the encoding unitary."""
 
     spue: Spue
-    reflection: np.ndarray
     total: np.ndarray
     circuit: Circuit | None = None
-    reflection_circuit: Circuit | None = None
 
     @property
     def num_qubits(self) -> int:
@@ -159,7 +157,6 @@ def walk_operator(spue: Spue) -> WalkOperator:
     refl = 2.0 * spue.isometry.projector() - np.eye(spue.isometry.space_dim)
     total = refl @ spue.unitary
     circuit = None
-    refl_circuit = None
     iso = spue.isometry
     if (
         spue.circuit is not None
@@ -167,20 +164,16 @@ def walk_operator(spue: Spue) -> WalkOperator:
         and iso.zero_qubits
         and iso.source_dim * 2 ** len(iso.zero_qubits) == iso.space_dim
     ):
-        qubits = spue.circuit.qubits
-        refl_circuit = Circuit(qubits)
-        refl_circuit.extend(iso.prep_circuit.inverse().ops)
-        refl_circuit.zero_reflection(iso.zero_qubits)
-        refl_circuit.extend(iso.prep_circuit.ops)
-        refl_circuit.freeze()
-        circuit = Circuit(qubits)
+        circuit = Circuit(spue.circuit.qubits)
         circuit.extend(spue.circuit.ops)
-        circuit.extend(refl_circuit.ops)
+        circuit.extend(iso.prep_circuit.inverse().ops)
+        circuit.zero_reflection(iso.zero_qubits)
+        circuit.extend(iso.prep_circuit.ops)
         circuit.freeze()
         dev = float(np.max(np.abs(unitary_of(circuit) - total)))
         if dev > UNITARY_TOL:
             raise ConstructionInvalid(f"walk circuit disagrees with matrix by {dev:.3e}")
-    return WalkOperator(spue, refl, total, circuit, refl_circuit)
+    return WalkOperator(spue, total, circuit)
 
 
 # -- spectral correspondence --------------------------------------------------

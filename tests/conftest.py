@@ -1,4 +1,4 @@
-"""Shared generators for the test suite."""
+"""Shared generators and the unitary equivalence oracle for the test suite."""
 
 from __future__ import annotations
 
@@ -18,6 +18,20 @@ def random_reversible_kernel(rng: np.random.Generator, n: int) -> tuple[MarkovKe
     p = flow / row_mass[:, None]
     pi = row_mass / row_mass.sum()
     return MarkovKernel(p), Distribution(pi)
+
+
+def phases_equal_up_to_global(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
+    """True if u = e^{ia} v for some real a, within elementwise tolerance."""
+    if u.shape != v.shape:
+        return False
+    k = int(np.argmax(np.abs(v)))
+    ref = v.flat[k]
+    if abs(ref) < 1e-14:
+        return bool(np.allclose(u, v, atol=tol, rtol=0))
+    phase = u.flat[k] / ref
+    if abs(abs(phase) - 1.0) > 1e-6:
+        return False
+    return bool(np.allclose(u, phase * v, atol=tol, rtol=0))
 
 
 def random_circuit(rng: np.random.Generator, qubits: list[str], depth: int):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from qmcmc.circuit import Circuit, phases_equal_up_to_global, unitary_of
+from qmcmc.circuit import Circuit, unitary_of
 from qmcmc.experiments import (
     ExperimentSpec,
     flip_proposal,
@@ -37,7 +37,7 @@ from qmcmc.spue import (
 )
 from qmcmc.transpile import transpile_native
 
-from conftest import random_reversible_kernel
+from conftest import phases_equal_up_to_global, random_reversible_kernel
 
 
 class _Budget:

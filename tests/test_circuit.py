@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcmc.circuit import (
-    Circuit,
-    GateApplication,
-    controlled,
-    phases_equal_up_to_global,
-    unitary_of,
-)
+from qmcmc.circuit import Circuit, GateApplication, controlled, unitary_of
 from qmcmc.errors import AddressingError, NotUnitary
 
-from conftest import random_circuit
+from conftest import phases_equal_up_to_global, random_circuit
 
 
 class TestUnitaryOf:

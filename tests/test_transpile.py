@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from qmcmc.circuit import Circuit, phases_equal_up_to_global, unitary_of
+from qmcmc.circuit import Circuit, unitary_of
 from qmcmc.errors import Unsupported
 from qmcmc.experiments import reference_pipelines
 from qmcmc.transpile import NATIVE_KINDS, transpile_native, zyz_angles
 
-from conftest import random_circuit
+from conftest import phases_equal_up_to_global, random_circuit
 
 
 def _assert_native_equivalent(circ, tol=1e-9):
