@@ -22,7 +22,7 @@ from .circuit import Circuit
 from .errors import SchemaError
 from .markov import MarkovKernel, two_state_kernel
 from .noise import ZERO_NOISE, NoiseModel, sample_with_noise
-from .references import experiment_reference, gate_reference
+from .references import experiment_reference, gate_reference, reference_histogram
 from .spue import (
     DUAL_QUBITS,
     check_spectral_correspondence,
@@ -471,12 +471,7 @@ def compare(report: ExperimentReport, source: str = "expected") -> dict:
         return _histogram_comparison(mine, theirs, source)
     if name == "spectral-check":
         raise SchemaError("spectral-check has no measurement reference")
-    if source == "expected":
-        theirs = ref.get("expected_counts")
-        if theirs is None:
-            raise SchemaError(f"{name} has no expected counts table")
-    else:
-        theirs = _device_entry(ref, source)["counts"]
+    theirs = reference_histogram(name, source)
     if tuple(ref["bit_order"]) != tuple(report.bit_order):
         raise SchemaError(
             f"bit order mismatch: report {report.bit_order} vs reference {ref['bit_order']}"
