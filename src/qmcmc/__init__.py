@@ -20,9 +20,7 @@ from .markov import (
 )
 from .circuit import Circuit, GateApplication, controlled, unitary_of
 from .statevector import (
-    MeasurementRecord,
     StateVector,
-    apply_gate,
     basis_state,
     from_amplitudes,
     overlap,

@@ -8,6 +8,10 @@ leftmost qubit is the most significant index bit.
 
 Circuits are built by appending (builder style) and can be frozen, after
 which they are immutable; all analysis functions are pure.
+
+Measurements are terminal: once a qubit is measured, only further measure ops
+may follow.  ``Circuit.append`` enforces this, so every circuit is a unitary
+gate list followed by a readout.
 """
 
 from __future__ import annotations
@@ -46,10 +50,8 @@ GATE_SIGNATURES = {
     "h": (1, 0), "x": (1, 0), "y": (1, 0), "z": (1, 0), "s": (1, 0), "sdg": (1, 0),
     "rx": (1, 1), "ry": (1, 1), "rz": (1, 1), "phase": (1, 1), "phasedx": (1, 2),
     "cx": (2, 0), "cz": (2, 0), "swap": (2, 0), "zzphase": (2, 1),
-    "unitary": (None, 0), "measure": (1, 0), "reset": (1, 0),
+    "unitary": (None, 0), "measure": (1, 0),
 }
-
-NON_UNITARY_KINDS = ("measure", "reset")
 
 
 def _rx(t: float) -> np.ndarray:
@@ -122,8 +124,8 @@ class GateApplication:
                 raise ValueError(f"{self.kind} does not take a matrix")
             if n_targets is not None and len(self.targets) != n_targets:
                 raise ValueError(f"{self.kind} addresses {n_targets} target qubit(s)")
-        if self.kind in NON_UNITARY_KINDS and self.controls:
-            raise ValueError(f"{self.kind} cannot be controlled")
+        if self.kind == "measure" and self.controls:
+            raise ValueError("measure cannot be controlled")
         touched = self.targets + self.controls
         if len(set(touched)) != len(touched):
             raise AddressingError(f"qubit used twice in one gate: {touched}")
@@ -155,8 +157,8 @@ class GateApplication:
         raise NotUnitary(f"{self.kind} has no unitary matrix")
 
     def inverse(self) -> "GateApplication":
-        if self.kind in NON_UNITARY_KINDS:
-            raise NotUnitary(f"{self.kind} is not invertible")
+        if self.kind == "measure":
+            raise NotUnitary("measure is not invertible")
         if self.kind == "s":
             return GateApplication("sdg", self.targets, self.controls)
         if self.kind == "sdg":
@@ -195,6 +197,8 @@ class Circuit:
         for q in gate.qubits:
             if q not in self._index:
                 raise AddressingError(f"qubit {q!r} not declared in circuit")
+        if gate.kind != "measure" and self.has_measurement():
+            raise ValueError(f"{gate.kind} after a measurement: measurements are terminal")
         self._ops.append(gate)
         return self
 
@@ -266,9 +270,6 @@ class Circuit:
             self._add("measure", (q,))
         return self
 
-    def reset(self, q):
-        return self._add("reset", (q,))
-
     def zero_reflection(self, qubits: Sequence[str]) -> "Circuit":
         """Append 2|0..0><0..0| - 1 on the given qubits (exact, no global phase).
 
@@ -298,20 +299,21 @@ class Circuit:
     def gates(self) -> Iterator[Gate]:
         """Each unitary op as ``(matrix, target indices, control indices)``, in order.
 
-        Measure and reset ops are skipped.  The op's qubit order
+        Measure ops are skipped.  The op's qubit order
         ``controls + targets`` matches ``GateApplication.qubits``.  Matrices
         are built lazily, one op at a time, so long circuits never hold them
         all at once.
         """
         index = self._index
         for op in self._ops:
-            if op.kind not in NON_UNITARY_KINDS:
+            if op.kind != "measure":
                 targets = tuple(index[q] for q in op.targets)
                 controls = tuple(index[q] for q in op.controls)
                 yield op.base_matrix(), targets, controls
 
     def has_measurement(self) -> bool:
-        return any(op.kind in NON_UNITARY_KINDS for op in self._ops)
+        # Measurements are terminal, so the last op tells.
+        return bool(self._ops) and self._ops[-1].kind == "measure"
 
     def gate_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -395,7 +397,7 @@ class Circuit:
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the ordered gate product; measurements are rejected."""
     if circuit.has_measurement():
-        raise NotUnitary("circuit contains measurement or reset")
+        raise NotUnitary("circuit contains measurements")
     dim = 2**circuit.num_qubits
     # Row b of the batch is the evolution of basis state |b>; the circuit
     # unitary has those as columns.

@@ -274,12 +274,11 @@ def dual_overlap_circuit(acceptance_angle: float) -> Circuit:
 
 def _counts(
     circuit: Circuit,
-    measured: list[str],
     shots: int,
     seed,
     noise: NoiseModel | None,
 ) -> dict[str, int]:
-    """Sample a terminal-measurement pipeline, noiselessly or with trajectories.
+    """Histogram of a pipeline's readout, noiselessly or with trajectories.
 
     A zero noise model skips transpilation (there are no noise sites to
     attach to), so it samples the logical circuit like the noiseless path.
@@ -287,7 +286,7 @@ def _counts(
     noise = ZERO_NOISE if noise is None else noise
     if noise.attach == "native" and not noise.is_zero:
         circuit = transpile_native(circuit).circuit
-    return sample_with_noise(circuit, noise, shots, seed, measured)
+    return sample_with_noise(circuit, noise, shots, seed)
 
 
 def _marginal(counts: dict[str, int], positions: list[int]) -> dict[str, int]:
@@ -329,7 +328,7 @@ def run(spec: ExperimentSpec) -> ExperimentReport:
 def _run_lcu_state_prep(spec: ExperimentSpec) -> ExperimentReport:
     circ = lcu_state_prep_circuit(spec.delta)
     bits = ("x", "c", "a")
-    counts = _counts(circ, list(bits), spec.shots, spec.seed, spec.noise)
+    counts = _counts(circ, spec.shots, spec.seed, spec.noise)
     success = sum(c for k, c in counts.items() if k[1] == "0")
     cond_x = _marginal({k: c for k, c in counts.items() if k[1] == "0"}, [0])
     uniform = {b: 1 for b in ("0", "1")}
@@ -344,7 +343,7 @@ def _run_lcu_state_prep(spec: ExperimentSpec) -> ExperimentReport:
 def _run_szegedy(spec: ExperimentSpec) -> ExperimentReport:
     circ = szegedy_state_prep_circuit(spec.delta)
     bits = ("x", "y", "c")
-    counts = _counts(circ, list(bits), spec.shots, spec.seed, spec.noise)
+    counts = _counts(circ, spec.shots, spec.seed, spec.noise)
     success = sum(c for k, c in counts.items() if k[2] == "0")
     conditional = {k: c for k, c in counts.items() if k[2] == "0"}
     joint = _marginal(conditional, [0, 1])
@@ -358,8 +357,7 @@ def _run_szegedy(spec: ExperimentSpec) -> ExperimentReport:
 
 def _run_cswap(spec: ExperimentSpec) -> ExperimentReport:
     circ = cswap_state_prep_circuit(spec.angle())
-    measured = ["p", "x", "y", "coin"]
-    raw = _counts(circ, measured, spec.shots, spec.seed, spec.noise)
+    raw = _counts(circ, spec.shots, spec.seed, spec.noise)
     # Reference tables carry a fifth, always-zero compilation ancilla bit.
     counts = {k + "0": c for k, c in raw.items()}
     bits = ("p", "x", "y", "coin", "sc")
@@ -375,7 +373,7 @@ def _run_cswap(spec: ExperimentSpec) -> ExperimentReport:
 def _run_lcu_qae(spec: ExperimentSpec) -> ExperimentReport:
     circ = lcu_qae_circuit(spec.delta, spec.t)
     bits = ("x", "c", "j1", "j0", "f", "a")
-    counts = _counts(circ, list(bits), spec.shots, spec.seed, spec.noise)
+    counts = _counts(circ, spec.shots, spec.seed, spec.noise)
     success = sum(c for k, c in counts.items() if k[1] == "0")
     estimates: dict[str, int] = {}
     for k, c in counts.items():
@@ -397,8 +395,8 @@ def _run_lcu_qae(spec: ExperimentSpec) -> ExperimentReport:
 def _run_dual_eigenstate(spec: ExperimentSpec) -> ExperimentReport:
     v_circ, walked_circ, invariance = dual_eigenstate_circuits(spec.angle())
     bits = tuple(DUAL_QUBITS)
-    counts = _counts(v_circ, list(bits), spec.shots, (spec.seed, 0), spec.noise)
-    walked = _counts(walked_circ, list(bits), spec.shots, (spec.seed, 1), spec.noise)
+    counts = _counts(v_circ, spec.shots, (spec.seed, 0), spec.noise)
+    walked = _counts(walked_circ, spec.shots, (spec.seed, 1), spec.noise)
     support = {"001010", "001100", "010010", "010100", "101010", "101100", "110010", "110100"}
     derived = {
         "walk_applied_histogram": dict(sorted(walked.items())),
@@ -412,7 +410,7 @@ def _run_dual_eigenstate(spec: ExperimentSpec) -> ExperimentReport:
 def _run_dual_overlap(spec: ExperimentSpec) -> ExperimentReport:
     circ = dual_overlap_circuit(spec.angle())
     bits = tuple(DUAL_QUBITS)
-    counts = _counts(circ, list(bits), spec.shots, spec.seed, spec.noise)
+    counts = _counts(circ, spec.shots, spec.seed, spec.noise)
     zeros = counts.get("0" * 6, 0)
     derived = {
         "zero_outcomes": zeros,

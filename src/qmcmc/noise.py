@@ -2,16 +2,16 @@
 
 Each shot follows a pure-state trajectory: after every gate, with
 probability p1 or p2 (by gate arity) a uniformly random non-identity Pauli
-hits the gate's qubits, and recorded measurement bits flip with probability
-p_meas.
+hits the gate's qubits, and the bits of the terminal readout flip with
+probability p_meas.
 
 Draw discipline per shot stream (seed, shot_index): the terminal-outcome
 uniform comes first, then the measurement-flip uniforms, then one uniform
 per gate site (with a Pauli choice drawn on demand when a site fires).
 Because the outcome uniform is the first draw, the all-zero model reproduces
-noiseless sampling bit-exactly, and batched evaluation reproduces sequential
-evaluation exactly.  The all-zero model skips the draws altogether: it
-evolves one statevector and inverts the CDF with
+noiseless sampling bit-exactly, and the batched engine reproduces the
+sequential one, ``apply_trajectory``, exactly.  The all-zero model skips the
+draws altogether: it evolves one statevector and inverts the CDF with
 ``statevector.sample_from_probabilities``, the noiseless sampler itself.
 
 The batched engine separates the fault draws from state evolution.  It
@@ -41,7 +41,6 @@ from .errors import SchemaError
 from .rng import ShotStreams, shot_rng
 from .statevector import (
     StateVector,
-    _project,
     from_amplitudes,
     invert_cdf,
     outcome_counts,
@@ -150,6 +149,11 @@ def _sites(circuit: Circuit, model: NoiseModel) -> tuple[list[Gate], np.ndarray,
     return gates, arities, np.array([model.rate_for(int(k)) for k in arities])
 
 
+def _measured(circuit: Circuit) -> list[str]:
+    """Measured qubits in readout order."""
+    return [op.targets[0] for op in circuit.ops if op.kind == "measure"]
+
+
 def _shot_events(
     rng: np.random.Generator, site_u: np.ndarray, rates: np.ndarray, arities: np.ndarray
 ) -> tuple[tuple[int, int], ...]:
@@ -172,76 +176,33 @@ def apply_trajectory(
 ) -> tuple[StateVector, dict[str, int]]:
     """Evolve one noise trajectory from |0...0>; deterministic per (seed, shot_index).
 
-    Measurement ops collapse the state and record (possibly flipped) bits.
-    For terminal-measurement circuits the outcomes match the batched sampler
-    bit for bit; mid-circuit measurements are supported but draw from the
-    stream inline, so only the sequential engine handles them.
+    Returns the final state before readout and the recorded, possibly
+    flipped, bit of each measured qubit.  This is the sequential oracle of
+    ``sample_with_noise``: it reads the same stream in the same order, so its
+    outcomes match the batched sampler bit for bit.
     """
     n = circuit.num_qubits
-    measured = [op.targets[0] for op in circuit.ops if op.kind == "measure"]
-    terminal = _is_terminal_measurement(circuit)
+    measured = _measured(circuit)
+    gates, arities, rates = _sites(circuit, model)
     rng = shot_rng(seed, shot_index)
-
-    if terminal:
-        gates, arities, rates = _sites(circuit, model)
-        u_out = rng.random()
-        flip_u = rng.random(len(measured)) if measured else np.empty(0)
-        events = dict(_shot_events(rng, rng.random(len(rates)), rates, arities))
-        amps = zero_state(n).amps
-        for site, (mat, targets, controls) in enumerate(gates):
-            amps = apply_matrix(amps, mat, targets, controls, n)
-            if site in events:
-                qubits = controls + targets
-                amps = apply_matrix(amps, _pauli_matrix(len(qubits), events[site]), qubits, (), n)
-        state = from_amplitudes(amps)
-        outcomes: dict[str, int] = {}
-        if measured:
-            idx = tuple(circuit.index_of(q) for q in measured)
-            probs = marginal_probabilities(state.amps, idx, n)[0]
-            k = int(np.searchsorted(np.cumsum(probs), u_out, side="right"))
-            k = min(k, len(probs) - 1)
-            bits = format(k, f"0{len(measured)}b")
-            for j, q in enumerate(measured):
-                bit = int(bits[j])
-                if flip_u[j] < model.p_meas:
-                    bit ^= 1
-                outcomes[q] = bit
-        return state, outcomes
-
-    # Mid-circuit measurements: inline draws in program order.
+    u_out = rng.random()
+    flip_u = rng.random(len(measured))
+    events = dict(_shot_events(rng, rng.random(len(rates)), rates, arities))
     amps = zero_state(n).amps
-    outcomes = {}
-    gates = circuit.gates()
-    for op in circuit.ops:
-        if op.kind == "measure":
-            q = circuit.index_of(op.targets[0])
-            probs = marginal_probabilities(amps, (q,), n)[0]
-            bit = int(rng.random() < probs[1])
-            amps = _project(StateVector(n, amps), (q,), str(bit)).amps
-            if rng.random() < model.p_meas:
-                bit ^= 1
-            outcomes[op.targets[0]] = bit
-        elif op.kind == "reset":
-            raise ValueError("reset is not supported in noisy trajectories")
-        else:
-            mat, targets, controls = next(gates)
-            amps = apply_matrix(amps, mat, targets, controls, n)
+    for site, (mat, targets, controls) in enumerate(gates):
+        amps = apply_matrix(amps, mat, targets, controls, n)
+        if site in events:
             qubits = controls + targets
-            rate = model.rate_for(len(qubits))
-            if rate > 0 and rng.random() < rate:
-                pauli = 1 + int(rng.integers(4 ** len(qubits) - 1))
-                amps = apply_matrix(amps, _pauli_matrix(len(qubits), pauli), qubits, (), n)
-    return from_amplitudes(amps), outcomes
-
-
-def _is_terminal_measurement(circuit: Circuit) -> bool:
-    seen_measure = False
-    for op in circuit.ops:
-        if op.kind == "measure":
-            seen_measure = True
-        elif op.kind == "reset" or seen_measure:
-            return False
-    return True
+            amps = apply_matrix(amps, _pauli_matrix(len(qubits), events[site]), qubits, (), n)
+    state = from_amplitudes(amps)
+    outcomes: dict[str, int] = {}
+    if measured:
+        idx = tuple(circuit.index_of(q) for q in measured)
+        probs = marginal_probabilities(state.amps, idx, n)[0]
+        bits = format(int(invert_cdf(probs, u_out)), f"0{len(measured)}b")
+        for j, q in enumerate(measured):
+            outcomes[q] = int(bits[j]) ^ int(flip_u[j] < model.p_meas)
+    return state, outcomes
 
 
 def sample_with_noise(
@@ -249,33 +210,28 @@ def sample_with_noise(
     model: NoiseModel,
     shots: int,
     seed: int,
-    measured_qubits: list[str] | None = None,
 ) -> dict[str, int]:
-    """Histogram over measured qubits from batched noise trajectories.
+    """Histogram over the circuit's measured qubits, in readout order, from
+    batched noise trajectories.
 
-    Requires terminal measurement (or an explicit measured-qubit list on a
-    measurement-free circuit).  The all-zero model evolves one statevector and
-    samples it with ``sample_from_probabilities``, so it is the noiseless
-    sampler bit for bit.
+    The all-zero model evolves one statevector and samples it with
+    ``sample_from_probabilities``, so it is the noiseless sampler bit for bit.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if not _is_terminal_measurement(circuit):
-        raise ValueError("batched sampling requires terminal measurement only")
-    if measured_qubits is None:
-        measured_qubits = [op.targets[0] for op in circuit.ops if op.kind == "measure"]
-    if not measured_qubits:
+    measured = _measured(circuit)
+    if not measured:
         raise ValueError("nothing to measure")
     n = circuit.num_qubits
-    idx = tuple(circuit.index_of(q) for q in measured_qubits)
+    m = len(measured)
+    idx = tuple(circuit.index_of(q) for q in measured)
 
     if model.is_zero:
         final = evolve(_ground_batch(1, n), circuit.gates())
         probs = marginal_probabilities(final, idx, n)[0]
-        return sample_from_probabilities(probs, len(measured_qubits), shots, seed)
+        return sample_from_probabilities(probs, m, shots, seed)
 
     gates, arities, rates = _sites(circuit, model)
-    m = len(measured_qubits)
     u_out = np.empty(shots)
     flip_u = np.empty((shots, m))
     pattern_of_shot = np.empty(shots, dtype=np.intp)

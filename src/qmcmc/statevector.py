@@ -1,7 +1,9 @@
 """Dense complex statevector simulator.
 
-Gate application, measurement sampling, post-selection and overlaps for up
-to 16 qubits.  Basis-state indexing is fixed package-wide: with register
+Circuit evolution, terminal-measurement collapse, shot sampling,
+post-selection and overlaps for up to 16 qubits.  Gates reach a state only
+through a ``Circuit`` (``statevector_of``, ``simulate``); the kernel itself is
+``qmcmc._apply``.  Basis-state indexing is fixed package-wide: with register
 order (q0, q1, ..., q_{n-1}), qubit q0 is the most significant index bit.
 
 Shot sampling draws each shot from an independent counter-based stream keyed
@@ -15,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._apply import apply_matrix, evolve, marginal_probabilities
-from .circuit import NON_UNITARY_KINDS, Circuit, GateApplication
+from ._apply import evolve, marginal_probabilities
+from .circuit import Circuit
 from .config import BRANCH_NORM_CUTOFF, NORM_TOL, POST_SELECT_CUTOFF
-from .errors import AddressingError, PostSelectImpossible
+from .errors import PostSelectImpossible
 from .rng import ShotStreams
 
 MAX_QUBITS = 16
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,14 +53,6 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
-    """Outcome bits (in measured-qubit order) plus the collapsed state."""
-
-    outcome: str
-    remaining_state: StateVector
-
-
 def zero_state(num_qubits: int) -> StateVector:
     return basis_state(num_qubits, 0)
 
@@ -78,23 +71,6 @@ def from_amplitudes(amps) -> StateVector:
     return StateVector(n, amps)
 
 
-def apply_gate(state: StateVector, gate: GateApplication, index_of: dict[str, int]) -> StateVector:
-    """Apply one gate; qubit names resolve through ``index_of``."""
-    targets = tuple(index_of[q] for q in gate.targets)
-    controls = tuple(index_of[q] for q in gate.controls)
-    seen = targets + controls
-    if len(set(seen)) != len(seen):
-        raise AddressingError(f"gate addresses a qubit twice: {seen}")
-    if any(not 0 <= q < state.num_qubits for q in seen):
-        raise AddressingError(f"qubit index out of range in {seen}")
-    return _applied(state, gate.base_matrix(), targets, controls)
-
-
-def _applied(state: StateVector, mat: np.ndarray, targets, controls) -> StateVector:
-    amps = apply_matrix(state.amps, mat, targets, controls, state.num_qubits)
-    return StateVector(state.num_qubits, amps)
-
-
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
     state: StateVector
@@ -102,23 +78,22 @@ class SimulationResult:
 
 
 def simulate(circuit: Circuit, rng: np.random.Generator | None = None) -> SimulationResult:
-    """Run a circuit from |0...0> front to back; measurements collapse using ``rng``."""
-    state = zero_state(circuit.num_qubits)
+    """Run a circuit from |0...0>, then collapse on its terminal measurements.
+
+    Measured qubits collapse one at a time in readout order, each with one
+    ``rng.random()`` inverted through ``invert_cdf``.
+    """
     if rng is None and circuit.has_measurement():
         raise ValueError("circuit contains measurements; provide an rng")
-    gates = circuit.gates()
+    state = _evolved(circuit)
     outcomes: dict[str, int] = {}
     for op in circuit.ops:
-        if op.kind in NON_UNITARY_KINDS:
+        if op.kind == "measure":
             q = circuit.index_of(op.targets[0])
-            record = measure(state, (q,), rng)
-            state = record.remaining_state
-            if op.kind == "measure":
-                outcomes[op.targets[0]] = int(record.outcome)
-            elif record.outcome == "1":  # reset: flip the collapsed |1> to |0>
-                state = _applied(state, _X, (q,), ())
-        else:
-            state = _applied(state, *next(gates))
+            probs = marginal_probabilities(state.amps, (q,), state.num_qubits)[0]
+            bit = int(invert_cdf(probs, rng.random()))
+            state = _project(state, q, bit)
+            outcomes[op.targets[0]] = bit
     return SimulationResult(state, outcomes)
 
 
@@ -126,32 +101,24 @@ def statevector_of(circuit: Circuit) -> StateVector:
     """Final state of a measurement-free circuit run from |0...0>."""
     if circuit.has_measurement():
         raise ValueError("circuit contains measurements; simulate it with an rng")
+    return _evolved(circuit)
+
+
+def _evolved(circuit: Circuit) -> StateVector:
+    """State after the circuit's gates, from |0...0>; measure ops are skipped."""
     n = circuit.num_qubits
     batch = zero_state(n).amps.reshape((1,) + (2,) * n)
     return StateVector(n, evolve(batch, circuit.gates()).reshape(-1))
 
 
-def measure(
-    state: StateVector, qubits: tuple[int, ...], rng: np.random.Generator
-) -> MeasurementRecord:
-    """Born-rule measurement of the given qubits; collapses and renormalizes."""
-    probs = marginal_probabilities(state.amps, qubits, state.num_qubits)[0]
-    outcome = int(invert_cdf(probs, rng.random()))
-    bits = format(outcome, f"0{len(qubits)}b")
-    collapsed = _project(state, qubits, bits)
-    return MeasurementRecord(bits, collapsed)
-
-
-def _project(state: StateVector, qubits: tuple[int, ...], bits: str) -> StateVector:
+def _project(state: StateVector, qubit: int, value: int) -> StateVector:
+    """Collapse onto ``qubit`` reading ``value`` and renormalize."""
     nd = state.amps.reshape((2,) * state.num_qubits).copy()
-    for q, b in zip(qubits, bits):
-        sel = [slice(None)] * state.num_qubits
-        sel[q] = 1 - int(b)
-        nd[tuple(sel)] = 0.0
+    nd[(slice(None),) * qubit + (1 - value,)] = 0.0
     flat = nd.reshape(-1)
     norm = np.linalg.norm(flat)
     if norm < BRANCH_NORM_CUTOFF:
-        raise PostSelectImpossible(f"branch {bits} on qubits {qubits} has zero probability")
+        raise PostSelectImpossible(f"qubit {qubit} = {value} has zero probability")
     return StateVector(state.num_qubits, flat / norm)
 
 
@@ -165,7 +132,7 @@ def post_select(state: StateVector, qubit: int, value: int) -> tuple[StateVector
         raise PostSelectImpossible(
             f"qubit {qubit} = {value} has probability {prob:.3e} <= cutoff"
         )
-    return _project(state, (qubit,), str(value)), prob
+    return _project(state, qubit, value), prob
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -203,9 +170,8 @@ def sample_from_probabilities(
 def invert_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Outcome index for each uniform in ``u`` under the law ``probs``.
 
-    The inversion rule of both shot samplers and of ``measure``:
-    ``searchsorted(side="right")``
-    on the CDF, whose last entry is raised to at least 1 so that rounding
+    The inversion rule of both shot samplers, of ``simulate`` and of
+    ``noise.apply_trajectory``: ``searchsorted(side="right")`` on the CDF, whose last entry is raised to at least 1 so that rounding
     cannot leave a uniform beyond it, clamped to the last outcome.
     """
     cum = np.cumsum(probs)

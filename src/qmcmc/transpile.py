@@ -23,7 +23,6 @@ import numpy as np
 from scipy.linalg import schur
 
 from .circuit import Circuit, GateApplication
-from .errors import Unsupported
 
 NATIVE_KINDS = {"phasedx", "rz", "zzphase", "measure"}
 
@@ -71,8 +70,6 @@ def _lowered(op: GateApplication) -> list[GateApplication]:
     """``op`` as native gates: apply one rewrite rule, then lower each piece."""
     if op.kind in NATIVE_KINDS and not op.controls:
         return [op]
-    if op.kind == "reset":
-        raise Unsupported("reset has no native decomposition")
     if op.kind == "unitary" and len(op.targets) > 1:
         pieces = _lower_generic(op)
     elif op.controls:

@@ -127,6 +127,18 @@ class TestBuilderInvariants:
         with pytest.raises(ValueError):
             GateApplication("measure", ("q",), controls=("c",))
 
+    def test_measurements_are_terminal(self):
+        circ = Circuit(["a", "b"]).h("a")
+        circ.measure("a")
+        circ.measure("b")  # more measurements may follow
+        with pytest.raises(ValueError, match="terminal"):
+            circ.x("b")
+        assert [op.kind for op in circ.ops] == ["h", "measure", "measure"]
+        obj = circ.to_dict()
+        obj["ops"].append({"kind": "x", "targets": ["b"]})
+        with pytest.raises(ValueError, match="terminal"):
+            Circuit.from_dict(obj)
+
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))

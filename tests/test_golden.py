@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from qmcmc.algorithms import phase_estimation, prepare_stationary
-from qmcmc.circuit import Circuit, unitary_of
+from qmcmc.circuit import unitary_of
 from qmcmc.experiments import (
     EXPERIMENT_NAMES,
     ExperimentSpec,
@@ -113,19 +113,8 @@ def _native(name: str) -> str:
     return _sha(transpile_native(reference_pipelines()[name]).circuit.to_json())
 
 
-def _mid_circuit() -> Circuit:
-    circ = Circuit(["a", "b", "c"]).h("a").cx("a", "b")
-    circ.measure("a")
-    circ.ry(0.7, "c", controls=("b",)).cx("b", "c")
-    circ.measure("b", "c")
-    return circ.freeze()
-
-
-def _trajectories(kind: str) -> str:
-    if kind == "terminal":
-        circ = transpile_native(cswap_state_prep_circuit(pi / 6)).circuit
-    else:
-        circ = _mid_circuit()
+def _trajectories() -> str:
+    circ = transpile_native(cswap_state_prep_circuit(pi / 6)).circuit
     parts = []
     for shot in range(200):
         state, outcomes = apply_trajectory(circ, TRAJECTORY_NOISE, 9, shot)
@@ -143,13 +132,11 @@ CASES = {
     "prepare_stationary": _stationary,
     **{f"unitary_of/{enc}": (lambda e=enc: _walk_unitary(e)) for enc in ("lcu", "szegedy", "cswap", "dual")},
     "statevector_of/dual-eigenstate": _dual_eigenstate,
-    "apply_trajectory/terminal": lambda: _trajectories("terminal"),
+    "apply_trajectory/terminal": _trajectories,
     **{f"transpile/{name}": (lambda n=name: _native(n)) for name in reference_pipelines()},
-    "apply_trajectory/mid-circuit": lambda: _trajectories("mid-circuit"),
 }
 
 GOLDEN = {
-    "apply_trajectory/mid-circuit": "e884792a4212a8b59fadd752edcf204f0f9e3fbc8159cf6b1e98c473ee965975",
     "apply_trajectory/terminal": "337c7642a4cf15e531966e99de9643c0c1862c2ebf9e875a15a9692210c159b6",
     "logical/cswap-state-prep": "60c0e4f9f75707793cda8ab333724106fba432437b16fd335d3537fd434f7c05",
     "noiseless/cswap-state-prep": "24b4a6ef55746cd31f1af304746b23cb0692b319235288e82eb5a3fb4eec97c3",

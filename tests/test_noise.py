@@ -126,7 +126,7 @@ class TestZeroNoiseEquivalence:
         state = statevector_of(bare)
         for seed in (0, 1, 17):
             direct = sample(state, [0, 1], 1500, seed)
-            noisy_path = sample_with_noise(circ, ZERO_NOISE, 1500, seed, ["a", "b"])
+            noisy_path = sample_with_noise(circ, ZERO_NOISE, 1500, seed)
             assert direct == noisy_path
 
 
@@ -206,17 +206,6 @@ class TestTrajectoryMechanics:
         model = NoiseModel(p1=0.0, p2=0.0, p_meas=0.25)
         hist = sample_with_noise(circ, model, 8000, seed=21)
         assert abs(hist.get("1", 0) - 2000) < 3 * np.sqrt(8000 * 0.25 * 0.75)
-
-    def test_mid_circuit_measurement_sequential_only(self):
-        circ = Circuit(["a", "b"]).h("a")
-        circ.measure("a")
-        circ.cx("a", "b")
-        circ.measure("b")
-        model = NoiseModel(p1=0.0, p2=0.0, p_meas=0.0)
-        _, outcomes = apply_trajectory(circ, model, 5, 0)
-        assert outcomes["a"] == outcomes["b"]
-        with pytest.raises(ValueError):
-            sample_with_noise(circ, model, 10, 5)
 
     def test_determinism(self):
         circ = _bell_circuit()

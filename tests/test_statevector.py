@@ -8,10 +8,8 @@ from qmcmc.circuit import Circuit, GateApplication
 from qmcmc.errors import AddressingError, NotUnitary, PostSelectImpossible
 from qmcmc.statevector import (
     StateVector,
-    apply_gate,
     basis_state,
     from_amplitudes,
-    measure,
     overlap,
     post_select,
     sample,
@@ -23,16 +21,9 @@ from qmcmc.statevector import (
 from conftest import random_circuit
 
 
-def _gate(kind, targets, controls=(), params=()):
-    return GateApplication(kind, targets, controls, params)
-
-
-IDX2 = {"q0": 0, "q1": 1}
-
-
 class TestApplyGate:
     def test_hadamard_on_zero(self):
-        out = apply_gate(zero_state(1), _gate("h", ("q0",)), {"q0": 0})
+        out = statevector_of(Circuit(["q0"]).h("q0"))
         assert np.allclose(out.amps, np.array([1, 1]) / np.sqrt(2))
 
     def test_ry_amplitude_angle(self):
@@ -41,22 +32,21 @@ class TestApplyGate:
         delta = 0.25
         theta = np.arccos(np.sqrt(1 - delta))
         assert theta == pytest.approx(np.pi / 6)
-        out = apply_gate(zero_state(1), _gate("ry", ("q0",), params=(2 * theta,)), {"q0": 0})
+        out = statevector_of(Circuit(["q0"]).ry(2 * theta, "q0"))
         assert out.amps[0].real == pytest.approx(np.sqrt(0.75))
         assert abs(out.amps[0]) ** 2 == pytest.approx(1 - delta)
 
     def test_cnot_makes_bell_pair(self):
-        plus = apply_gate(zero_state(2), _gate("h", ("q0",)), IDX2)
-        bell = apply_gate(plus, _gate("cx", ("q0", "q1")), IDX2)
+        bell = statevector_of(Circuit(["q0", "q1"]).h("q0").cx("q0", "q1"))
         assert np.allclose(bell.amps, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
     def test_rejects_duplicate_qubits(self):
         with pytest.raises(AddressingError):
-            apply_gate(zero_state(2), _gate("cx", ("q0", "q0")), IDX2)
+            Circuit(["q0", "q1"]).cx("q0", "q0")
 
     def test_rejects_out_of_range(self):
         with pytest.raises(AddressingError):
-            apply_gate(zero_state(1), _gate("x", ("q1",)), {"q1": 1})
+            Circuit(["q0"]).x("q1")
 
     def test_rejects_non_unitary_matrix(self):
         with pytest.raises(NotUnitary):
@@ -153,26 +143,13 @@ class TestPostSelect:
 
 
 class TestSimulateAndMeasure:
-    def test_mid_circuit_measurement_collapses(self):
-        circ = Circuit(["a", "b"]).h("a")
-        circ.measure("a")
-        circ.cx("a", "b")
-        rng = np.random.default_rng(4)
-        result = simulate(circ, rng=rng)
+    def test_terminal_measurement_collapses(self):
+        circ = Circuit(["a", "b"]).h("a").cx("a", "b")
+        circ.measure("a", "b")
+        result = simulate(circ, rng=np.random.default_rng(4))
         bit = result.measurements["a"]
+        assert result.measurements["b"] == bit
         assert np.allclose(np.abs(result.state.amps) ** 2, np.eye(4)[bit * 3])
-
-    def test_measure_record_consistency(self, rng):
-        state = statevector_of(Circuit(["a", "b"]).h("a").cx("a", "b"))
-        record = measure(state, (0, 1), rng)
-        assert record.outcome in ("00", "11")
-        assert abs(np.linalg.norm(record.remaining_state.amps) - 1.0) < 1e-12
-
-    def test_reset(self):
-        circ = Circuit(["a"]).x("a")
-        circ.reset("a")
-        result = simulate(circ, rng=np.random.default_rng(0))
-        assert np.allclose(result.state.amps, [1, 0])
 
 
 class TestCapacity:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from qmcmc.circuit import Circuit, unitary_of
-from qmcmc.errors import Unsupported
 from qmcmc.experiments import reference_pipelines
 from qmcmc.transpile import NATIVE_KINDS, transpile_native, zyz_angles
 
@@ -109,12 +108,6 @@ class TestGenericMatrices:
         u = unitary_group.rvs(4, random_state=rng)
         circ = Circuit(["c", "a", "b"]).unitary(u, ["a", "b"], controls=("c",))
         _assert_native_equivalent(circ)
-
-    def test_reset_unsupported(self):
-        circ = Circuit(["q"])
-        circ.reset("q")
-        with pytest.raises(Unsupported):
-            transpile_native(circ)
 
 
 def _battery():
