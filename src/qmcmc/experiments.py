@@ -120,17 +120,28 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentReport":
-        """Rebuild a report from ``to_dict`` output, without its comparison."""
+        """Rebuild a report from ``to_dict`` output, without its comparison.
+
+        Every histogram key must be a ``len(bit_order)``-wide string of 0s and
+        1s and every count a non-negative ``int``; otherwise ``SchemaError``.
+        """
         try:
-            return cls(
+            report = cls(
                 ExperimentSpec.from_dict(obj["spec"]),
                 tuple(obj["bit_order"]),
-                {k: int(v) for k, v in obj["histogram"].items()},
+                dict(obj["histogram"]),
                 obj["success_count"],
                 obj["derived"],
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed report: {exc}") from exc
+        width = len(report.bit_order)
+        for key, count in report.histogram.items():
+            if not isinstance(key, str) or len(key) != width or not set(key) <= {"0", "1"}:
+                raise SchemaError(f"malformed report: histogram key {key!r} is not {width} bits")
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise SchemaError(f"malformed report: count {count!r} of {key} is not a non-negative int")
+        return report
 
 
 # -- pipelines -----------------------------------------------------------------

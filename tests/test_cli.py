@@ -105,10 +105,10 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def _stored_report(tmp_path) -> dict:
+def _stored_report(tmp_path, experiment="lcu-state-prep") -> dict:
     out_file = tmp_path / "report.json"
     assert main([
-        "run", "--experiment", "lcu-state-prep", "--shots", "200", "--seed", "1",
+        "run", "--experiment", experiment, "--shots", "200", "--seed", "1",
         "--out", str(out_file),
     ]) == 0
     return json.loads(out_file.read_text())
@@ -127,6 +127,35 @@ def test_compare_unknown_noise_key_is_schema_error(tmp_path, capsys):
 def test_compare_top_level_list_is_schema_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([_stored_report(tmp_path)]))
+    capsys.readouterr()
+    assert main(["compare", str(bad)]) == 2
+    assert "malformed report" in capsys.readouterr().err
+
+
+def _set_first(histogram: dict, key=None, count=None) -> dict:
+    """``histogram`` with its first entry's key and/or count replaced."""
+    (first, first_count), *rest = histogram.items()
+    entry = (first if key is None else key(first), first_count if count is None else count)
+    return dict([entry, *rest])
+
+
+_BAD_HISTOGRAMS = {
+    "non-binary-key": lambda h: _set_first(h, key=lambda k: "2" + k[1:]),
+    "wider-key": lambda h: _set_first(h, key=lambda k: k + "0"),
+    "float-count": lambda h: _set_first(h, count=1.7),
+    "negative-count": lambda h: _set_first(h, count=-5),
+    "string-count": lambda h: _set_first(h, count="12"),
+    "bool-count": lambda h: _set_first(h, count=True),
+}
+
+
+@pytest.mark.parametrize("experiment", ["lcu-state-prep", "dual-overlap", "lcu-qae"])
+@pytest.mark.parametrize("damage", sorted(_BAD_HISTOGRAMS))
+def test_compare_malformed_histogram_is_schema_error(tmp_path, capsys, experiment, damage):
+    payload = _stored_report(tmp_path, experiment)
+    payload["histogram"] = _BAD_HISTOGRAMS[damage](payload["histogram"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["compare", str(bad)]) == 2
     assert "malformed report" in capsys.readouterr().err
