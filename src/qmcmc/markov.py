@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 from typing import Callable
 
 import numpy as np
@@ -55,9 +54,16 @@ class MarkovKernel:
 
     @cached_property
     def is_ergodic(self) -> bool:
-        """Irreducible and aperiodic on the support graph of p."""
-        support = self.p > 0
-        return _strongly_connected(support) and _period(support) == 1
+        """Irreducible and aperiodic, i.e. the support of p is primitive.
+
+        Wielandt's theorem: a nonnegative n x n matrix is primitive iff its
+        ((n-1)^2 + 1)-th power is positive.  A row-stochastic support keeps
+        a positive power positive, so squaring past that exponent suffices.
+        """
+        power, exponent = self.p > 0, 1
+        while exponent < (self.n - 1) ** 2 + 1:
+            power, exponent = power @ power, 2 * exponent
+        return bool(power.all())
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "p": self.p.tolist()})
@@ -100,43 +106,6 @@ class Distribution:
     def coherent(self) -> np.ndarray:
         """Amplitude vector with entries sqrt(w(x)); unit norm by construction."""
         return np.sqrt(self.weights)
-
-
-def _strongly_connected(support: np.ndarray) -> bool:
-    n = support.shape[0]
-    return _reaches_all(support, 0) and _reaches_all(support.T, 0)
-
-
-def _reaches_all(adj: np.ndarray, start: int) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
-
-
-def _period(support: np.ndarray) -> int:
-    """gcd of cycle lengths of a strongly connected digraph via BFS levels."""
-    n = support.shape[0]
-    level = np.full(n, -1)
-    level[0] = 0
-    queue = [0]
-    g = 0
-    while queue:
-        u = queue.pop(0)
-        for v in np.flatnonzero(support[u]):
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(int(v))
-            else:
-                g = gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 0
 
 
 def two_state_kernel(delta: float) -> MarkovKernel:

@@ -1,9 +1,11 @@
 import json
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from qmcmc.errors import NotErgodic, NotReversible, SchemaError
 from qmcmc.markov import (
@@ -65,20 +67,58 @@ class TestKernelValidation:
             MarkovKernel.from_json(json.dumps({"n": 2, "p": [[0.9, 0.2], [0.5, 0.5]]}))
 
 
+@st.composite
+def _supports(draw):
+    """Boolean support of an n x n kernel, n = 2..6, with no empty row."""
+    n = draw(st.integers(2, 6))
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    support = np.array(cells).reshape(n, n)
+    support[~support.any(axis=1), 0] = True
+    return support.astype(float)
+
+
+def _ergodic_by_graph(support: np.ndarray) -> bool:
+    """Strongly connected, and the gcd of the lengths k <= n of closed walks is 1."""
+    n = len(support)
+    count, _ = connected_components(support, directed=True, connection="strong")
+    walk, period = np.eye(n), 0
+    for k in range(1, n + 1):
+        walk = (walk @ support > 0).astype(float)
+        if np.trace(walk) > 0:
+            period = gcd(period, k)
+    return count == 1 and period == 1
+
+
 class TestStationary:
     def test_uniform_for_symmetric(self):
         pi = stationary(two_state_kernel(0.25))
         assert np.allclose(pi.weights, [0.5, 0.5])
 
     def test_identity_not_ergodic(self):
-        k = MarkovKernel(np.eye(2))
-        with pytest.raises(NotErgodic):
-            stationary(k)
+        # Reducible kernels: the identity, and a chain with an absorbing state.
+        absorbing = [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]
+        for p in (np.eye(2), absorbing):
+            with pytest.raises(NotErgodic):
+                stationary(MarkovKernel(np.array(p)))
 
     def test_periodic_not_ergodic(self):
-        k = MarkovKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(NotErgodic):
-            stationary(k)
+        # Irreducible with period 2 and 3.
+        for p in ([[0.0, 1.0], [1.0, 0.0]], np.roll(np.eye(3), 1, axis=1)):
+            with pytest.raises(NotErgodic):
+                stationary(MarkovKernel(np.array(p)))
+
+    def test_cycle_with_self_loop_is_ergodic(self):
+        p = np.roll(np.eye(4), 1, axis=1)
+        p[0] = [0.5, 0.5, 0.0, 0.0]
+        k = MarkovKernel(p)
+        assert k.is_ergodic
+        assert np.allclose(stationary(k).weights @ p, stationary(k).weights)
+
+    @settings(max_examples=300, deadline=None)
+    @given(support=_supports())
+    def test_ergodic_matches_graph_oracle(self, support):
+        k = MarkovKernel(support / support.sum(axis=1, keepdims=True))
+        assert k.is_ergodic == _ergodic_by_graph(support)
 
     def test_matches_power_iteration(self, rng):
         # independent oracle: iterate the kernel until the law stops moving
