@@ -112,7 +112,8 @@ class TestStationary:
         p[0] = [0.5, 0.5, 0.0, 0.0]
         k = MarkovKernel(p)
         assert k.is_ergodic
-        assert np.allclose(stationary(k).weights @ p, stationary(k).weights)
+        pi = stationary(k).weights
+        assert np.allclose(pi @ p, pi)
 
     @settings(max_examples=300, deadline=None)
     @given(support=_supports())
