@@ -10,8 +10,9 @@ Circuits are built by appending (builder style) and can be frozen, after
 which they are immutable; all analysis functions are pure.
 
 Measurements are terminal: once a qubit is measured, only further measure ops
-may follow.  ``Circuit.append`` enforces this, so every circuit is a unitary
-gate list followed by a readout.
+may follow, and no qubit is measured twice.  ``Circuit.append`` enforces
+both, so every circuit is a unitary gate list followed by a readout, and
+``Circuit.measured()`` is that readout's one bit order.
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ class Circuit:
         self.qubits = qubits
         self._index = {q: i for i, q in enumerate(qubits)}
         self._ops: list[GateApplication] = []
+        # Measured qubits in readout order (dict keys: ordered, O(1) lookup).
+        self._measured: dict[str, None] = {}
         self._frozen = False
 
     # -- construction ------------------------------------------------------
@@ -197,7 +200,12 @@ class Circuit:
         for q in gate.qubits:
             if q not in self._index:
                 raise AddressingError(f"qubit {q!r} not declared in circuit")
-        if gate.kind != "measure" and self.has_measurement():
+        if gate.kind == "measure":
+            q = gate.targets[0]
+            if q in self._measured:
+                raise AddressingError(f"qubit {q!r} measured twice")
+            self._measured[q] = None
+        elif self._measured:
             raise ValueError(f"{gate.kind} after a measurement: measurements are terminal")
         self._ops.append(gate)
         return self
@@ -312,8 +320,11 @@ class Circuit:
                 yield op.base_matrix(), targets, controls
 
     def has_measurement(self) -> bool:
-        # Measurements are terminal, so the last op tells.
-        return bool(self._ops) and self._ops[-1].kind == "measure"
+        return bool(self._measured)
+
+    def measured(self) -> tuple[str, ...]:
+        """Measured qubit names in readout order, the bit order of every histogram."""
+        return tuple(self._measured)
 
     def gate_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -149,11 +149,6 @@ def _sites(circuit: Circuit, model: NoiseModel) -> tuple[list[Gate], np.ndarray,
     return gates, arities, np.array([model.rate_for(int(k)) for k in arities])
 
 
-def _measured(circuit: Circuit) -> list[str]:
-    """Measured qubits in readout order."""
-    return [op.targets[0] for op in circuit.ops if op.kind == "measure"]
-
-
 def _shot_events(
     rng: np.random.Generator, site_u: np.ndarray, rates: np.ndarray, arities: np.ndarray
 ) -> tuple[tuple[int, int], ...]:
@@ -182,7 +177,7 @@ def apply_trajectory(
     outcomes match the batched sampler bit for bit.
     """
     n = circuit.num_qubits
-    measured = _measured(circuit)
+    measured = circuit.measured()
     gates, arities, rates = _sites(circuit, model)
     rng = shot_rng(seed, shot_index)
     u_out = rng.random()
@@ -219,7 +214,7 @@ def sample_with_noise(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    measured = _measured(circuit)
+    measured = circuit.measured()
     if not measured:
         raise ValueError("nothing to measure")
     n = circuit.num_qubits

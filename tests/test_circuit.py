@@ -139,6 +139,19 @@ class TestBuilderInvariants:
         with pytest.raises(ValueError, match="terminal"):
             Circuit.from_dict(obj)
 
+    def test_qubit_measured_twice_rejected(self):
+        with pytest.raises(AddressingError, match="measured twice"):
+            Circuit(["a", "b"]).h("a").measure("a", "a")
+        circ = Circuit(["a", "b"]).h("a").measure("b", "a")
+        assert circ.measured() == ("b", "a")
+        with pytest.raises(AddressingError, match="measured twice"):
+            circ.measure("b")
+        assert circ.measured() == ("b", "a")
+        obj = circ.to_dict()
+        obj["ops"].append({"kind": "measure", "targets": ["a"]})
+        with pytest.raises(AddressingError, match="measured twice"):
+            Circuit.from_dict(obj)
+
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))

@@ -130,10 +130,14 @@ class TestRoundTripSuite:
             assert transpile_native(native).circuit.to_json() == native.to_json()
 
     def test_measurements_pass_through(self):
+        # reports take their bit order from the logical circuit, so the
+        # native circuit must read out in the same order
         circ = Circuit(["a", "b"]).h("a").cx("a", "b")
-        circ.measure("a", "b")
+        circ.measure("b", "a")
         report = transpile_native(circ)
         assert report.counts.get("measure") == 2
+        for logical in [circ, *reference_pipelines().values()]:
+            assert transpile_native(logical).circuit.measured() == logical.measured()
 
 
 class TestReporting:
