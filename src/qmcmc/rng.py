@@ -4,6 +4,12 @@ Every shot (and every noise trajectory) draws from an independent Philox
 stream derived from ``(seed, shot_index)``.  Streams are counter-based, so
 results do not depend on the order in which shots are evaluated: evaluating
 shots concurrently, in batches, or one by one yields identical outcomes.
+
+Two ways read these streams.  ``first_uniforms`` evaluates Philox4x64-10
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) for
+many shots at once in NumPy and returns the first ``random()`` of each shot's
+stream; the noiseless sampler needs nothing more.  ``ShotStreams`` re-seats
+NumPy's own Philox generator per shot, for callers that draw further.
 """
 
 from __future__ import annotations
@@ -12,6 +18,15 @@ import numpy as np
 
 # Each shot owns a 2**128-block slice of the Philox counter space.
 _SHOT_STRIDE = 1 << 128
+
+# Philox4x64-10 constants: round multipliers and Weyl key increments.
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_WEYL = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+_U11 = np.uint64(11)
 
 
 def philox_key(seed) -> np.ndarray:
@@ -27,12 +42,70 @@ def shot_rng(seed, shot_index: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+def first_uniforms(seed, shots: np.ndarray) -> np.ndarray:
+    """First ``random()`` of the stream of each shot index in ``shots``.
+
+    Equal, bit for bit, to ``shot_rng(seed, s).random()`` for every ``s``.
+    A seated stream has counter ``(0, 0, s, 0)``; its first draw increments
+    the counter and keeps word 0 of the Philox4x64-10 block
+    ``(1, 0, s, 0)`` under ``philox_key(seed)``, as ``(word0 >> 11) * 2**-53``.
+    ``shots`` must be a ``uint64`` array.
+    """
+    if shots.dtype != np.uint64:
+        raise TypeError(f"shot indices must be uint64, got {shots.dtype}")
+    # Key of each round: the seed key plus r Weyl increments, wrapping mod 2**64.
+    keys = philox_key(seed) + np.arange(_PHILOX_ROUNDS, dtype=np.uint64)[:, None] * _PHILOX_WEYL
+    c0 = np.ones_like(shots)
+    c1 = np.zeros_like(shots)
+    c2 = shots.copy()
+    c3 = np.zeros_like(shots)
+    spare = np.empty_like(shots)
+    scratch = tuple(np.empty_like(shots) for _ in range(3))
+    with np.errstate(over="ignore"):
+        for k0, k1 in keys:
+            # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
+            _mulhi(c0, _PHILOX_M0, spare, scratch)
+            spare ^= c3
+            spare ^= k1
+            c0 *= _PHILOX_M0
+            _mulhi(c2, _PHILOX_M1, c3, scratch)
+            c3 ^= c1
+            c3 ^= k0
+            c2 *= _PHILOX_M1
+            c0, c1, c2, c3, spare = c3, c2, spare, c0, c1
+    c0 >>= _U11
+    return c0.astype(np.float64) * 2.0**-53
+
+
+def _mulhi(a: np.ndarray, m: np.uint64, out: np.ndarray, scratch) -> None:
+    """High 64 bits of the 128-bit products ``a * m``, from 32-bit halves, into ``out``."""
+    m_lo, m_hi = m & _LOW32, m >> _U32
+    a_lo, a_hi, carry = scratch
+    np.bitwise_and(a, _LOW32, out=a_lo)
+    np.right_shift(a, _U32, out=a_hi)
+    np.multiply(a_lo, m_lo, out=carry)
+    carry >>= _U32
+    np.multiply(a_hi, m_lo, out=out)
+    carry += out  # a_hi*m_lo + (a_lo*m_lo >> 32) < 2**64
+    a_lo *= m_hi
+    np.bitwise_and(carry, _LOW32, out=out)
+    a_lo += out  # a_lo*m_hi + low half of carry < 2**64
+    a_lo >>= _U32
+    carry >>= _U32
+    a_hi *= m_hi
+    np.add(a_hi, carry, out=out)
+    out += a_lo
+
+
 class ShotStreams:
     """Cheap iteration over the per-shot streams of one seeded run.
 
     Re-seats a single Philox counter instead of constructing a generator per
     shot; ``shot(s)`` yields draws identical to ``shot_rng(seed, s)``.  The
     returned generator is shared, so finish one shot before seating the next.
+    The noisy trajectory engine is its only batch caller: it draws
+    ``1 + m + sites`` uniforms per shot, which NumPy's C generator produces
+    faster than ``first_uniforms``-style vectorized rounds would.
     """
 
     def __init__(self, seed):

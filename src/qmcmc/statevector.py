@@ -8,7 +8,8 @@ order (q0, q1, ..., q_{n-1}), qubit q0 is the most significant index bit.
 
 Shot sampling draws each shot from an independent counter-based stream keyed
 by (seed, shot_index), so shots can be evaluated in any order, in parallel,
-or in batches without changing the results.
+or in batches without changing the results.  The outcome uniforms of all
+shots come from one vectorized pass, ``rng.first_uniforms``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ._apply import evolve, marginal_probabilities
 from .circuit import Circuit
 from .config import BRANCH_NORM_CUTOFF, NORM_TOL, POST_SELECT_CUTOFF
 from .errors import PostSelectImpossible
-from .rng import ShotStreams
+from .rng import first_uniforms
 
 MAX_QUBITS = 16
 
@@ -87,13 +88,12 @@ def simulate(circuit: Circuit, rng: np.random.Generator | None = None) -> Simula
         raise ValueError("circuit contains measurements; provide an rng")
     state = _evolved(circuit)
     outcomes: dict[str, int] = {}
-    for op in circuit.ops:
-        if op.kind == "measure":
-            q = circuit.index_of(op.targets[0])
-            probs = marginal_probabilities(state.amps, (q,), state.num_qubits)[0]
-            bit = int(invert_cdf(probs, rng.random()))
-            state = _project(state, q, bit)
-            outcomes[op.targets[0]] = bit
+    for name in circuit.measured():
+        q = circuit.index_of(name)
+        probs = marginal_probabilities(state.amps, (q,), state.num_qubits)[0]
+        bit = int(invert_cdf(probs, rng.random()))
+        state = _project(state, q, bit)
+        outcomes[name] = bit
     return SimulationResult(state, outcomes)
 
 
@@ -161,9 +161,10 @@ def sample_from_probabilities(
     This exact draw discipline (outcome uniform is the first draw of each
     shot's stream) is shared with the noise-trajectory engine, which makes
     the all-zero noise model reproduce noiseless histograms bit-exactly.
+    ``first_uniforms`` evaluates those first draws for every shot at once,
+    with no per-shot generator.
     """
-    streams = ShotStreams(seed)
-    u = np.array([streams.shot(s).random() for s in range(shots)])
+    u = first_uniforms(seed, np.arange(shots, dtype=np.uint64))
     return outcome_counts(invert_cdf(probs, u), num_bits)
 
 
