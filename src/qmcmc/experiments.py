@@ -123,7 +123,9 @@ class ExperimentReport:
         """Rebuild a report from ``to_dict`` output, without its comparison.
 
         Every histogram key must be a ``len(bit_order)``-wide string of 0s and
-        1s and every count a non-negative ``int``; otherwise ``SchemaError``.
+        1s and every count a non-negative ``int``, and so must the derived
+        counts that ``compare`` reads (lcu-qae's ``mean_estimate_histogram``,
+        dual-overlap's ``zero_outcomes``); otherwise ``SchemaError``.
         """
         try:
             report = cls(
@@ -131,7 +133,7 @@ class ExperimentReport:
                 tuple(obj["bit_order"]),
                 dict(obj["histogram"]),
                 obj["success_count"],
-                obj["derived"],
+                dict(obj["derived"]),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed report: {exc}") from exc
@@ -139,9 +141,20 @@ class ExperimentReport:
         for key, count in report.histogram.items():
             if not isinstance(key, str) or len(key) != width or not set(key) <= {"0", "1"}:
                 raise SchemaError(f"malformed report: histogram key {key!r} is not {width} bits")
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            if not _is_count(count):
                 raise SchemaError(f"malformed report: count {count!r} of {key} is not a non-negative int")
+        derived = report.derived
+        if report.spec.name == "lcu-qae":
+            estimates = derived.get("mean_estimate_histogram")
+            if not isinstance(estimates, dict) or not all(map(_is_count, estimates.values())):
+                raise SchemaError("malformed report: mean_estimate_histogram is not a table of counts")
+        if report.spec.name == "dual-overlap" and not _is_count(derived.get("zero_outcomes")):
+            raise SchemaError("malformed report: zero_outcomes is not a non-negative int")
         return report
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 # -- pipelines -----------------------------------------------------------------
@@ -338,7 +351,7 @@ def run(spec: ExperimentSpec) -> ExperimentReport:
 
 def _run_lcu_state_prep(spec: ExperimentSpec) -> ExperimentReport:
     circ = lcu_state_prep_circuit(spec.delta)
-    bits = ("x", "c", "a")
+    bits = circ.measured()
     counts = _counts(circ, spec.shots, spec.seed, spec.noise)
     success = sum(c for k, c in counts.items() if k[1] == "0")
     cond_x = _marginal({k: c for k, c in counts.items() if k[1] == "0"}, [0])
@@ -353,7 +366,7 @@ def _run_lcu_state_prep(spec: ExperimentSpec) -> ExperimentReport:
 
 def _run_szegedy(spec: ExperimentSpec) -> ExperimentReport:
     circ = szegedy_state_prep_circuit(spec.delta)
-    bits = ("x", "y", "c")
+    bits = circ.measured()
     counts = _counts(circ, spec.shots, spec.seed, spec.noise)
     success = sum(c for k, c in counts.items() if k[2] == "0")
     conditional = {k: c for k, c in counts.items() if k[2] == "0"}
@@ -371,7 +384,7 @@ def _run_cswap(spec: ExperimentSpec) -> ExperimentReport:
     raw = _counts(circ, spec.shots, spec.seed, spec.noise)
     # Reference tables carry a fifth, always-zero compilation ancilla bit.
     counts = {k + "0": c for k, c in raw.items()}
-    bits = ("p", "x", "y", "coin", "sc")
+    bits = circ.measured() + ("sc",)
     success = sum(c for k, c in counts.items() if k[0] == "0")
     derived = {
         "phase0_count": success,
@@ -383,7 +396,7 @@ def _run_cswap(spec: ExperimentSpec) -> ExperimentReport:
 
 def _run_lcu_qae(spec: ExperimentSpec) -> ExperimentReport:
     circ = lcu_qae_circuit(spec.delta, spec.t)
-    bits = ("x", "c", "j1", "j0", "f", "a")
+    bits = circ.measured()
     counts = _counts(circ, spec.shots, spec.seed, spec.noise)
     success = sum(c for k, c in counts.items() if k[1] == "0")
     estimates: dict[str, int] = {}
@@ -405,7 +418,7 @@ def _run_lcu_qae(spec: ExperimentSpec) -> ExperimentReport:
 
 def _run_dual_eigenstate(spec: ExperimentSpec) -> ExperimentReport:
     v_circ, walked_circ, invariance = dual_eigenstate_circuits(spec.angle())
-    bits = tuple(DUAL_QUBITS)
+    bits = v_circ.measured()
     counts = _counts(v_circ, spec.shots, (spec.seed, 0), spec.noise)
     walked = _counts(walked_circ, spec.shots, (spec.seed, 1), spec.noise)
     support = {"001010", "001100", "010010", "010100", "101010", "101100", "110010", "110100"}
@@ -420,7 +433,7 @@ def _run_dual_eigenstate(spec: ExperimentSpec) -> ExperimentReport:
 
 def _run_dual_overlap(spec: ExperimentSpec) -> ExperimentReport:
     circ = dual_overlap_circuit(spec.angle())
-    bits = tuple(DUAL_QUBITS)
+    bits = circ.measured()
     counts = _counts(circ, spec.shots, spec.seed, spec.noise)
     zeros = counts.get("0" * 6, 0)
     derived = {

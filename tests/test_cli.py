@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qmcmc.cli import main
 
@@ -159,3 +161,63 @@ def test_compare_malformed_histogram_is_schema_error(tmp_path, capsys, experimen
     capsys.readouterr()
     assert main(["compare", str(bad)]) == 2
     assert "malformed report" in capsys.readouterr().err
+
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_COMPARED = ("lcu-state-prep", "lcu-qae", "dual-overlap", "cswap-state-prep")
+
+
+@st.composite
+def _damaged(draw, report: dict):
+    """``report`` with one entry, at any depth, replaced by a JSON value or deleted."""
+    out = json.loads(json.dumps(report))
+    holder = out
+    key = draw(st.sampled_from(sorted(holder)))
+    while isinstance(holder[key], dict) and holder[key] and draw(st.booleans()):
+        holder = holder[key]
+        key = draw(st.sampled_from(sorted(holder)))
+    if draw(st.booleans()):
+        holder[key] = draw(_JSON)
+    else:
+        del holder[key]
+    return out
+
+
+@pytest.fixture(scope="module")
+def stored_reports(tmp_path_factory):
+    return {name: _stored_report(tmp_path_factory.mktemp(name), name) for name in _COMPARED}
+
+
+@pytest.mark.parametrize(
+    "experiment, damage",
+    [
+        ("lcu-qae", {"derived": []}),
+        ("lcu-qae", {"derived": {"mean_estimate_histogram": {"0.5": None}}}),
+        ("lcu-qae", {"derived": {"mean_estimate_histogram": [1]}}),
+        ("dual-overlap", {"derived": {"zero_outcomes": "7"}}),
+        ("dual-overlap", {"derived": {}}),
+    ],
+)
+def test_compare_malformed_derived_counts_is_schema_error(
+    tmp_path, capsys, stored_reports, experiment, damage
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**stored_reports[experiment], **damage}))
+    capsys.readouterr()
+    assert main(["compare", str(bad)]) == 2
+    assert "malformed report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", _COMPARED)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_compare_exit_code_is_0_or_2(tmp_path, stored_reports, experiment, data):
+    payload = data.draw(_JSON | _damaged(stored_reports[experiment]))
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    assert main(["compare", str(path)]) in (0, 2)
