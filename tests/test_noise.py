@@ -11,7 +11,7 @@ from scipy.stats import chi2
 from qmcmc import noise
 from qmcmc.circuit import Circuit
 from qmcmc.errors import SchemaError
-from qmcmc.experiments import cswap_state_prep_circuit
+from qmcmc.experiments import cswap_state_prep_circuit, dual_overlap_circuit
 from qmcmc.noise import NoiseModel, ZERO_NOISE, apply_trajectory, sample_with_noise
 from qmcmc.statevector import sample, statevector_of
 from qmcmc.transpile import transpile_native
@@ -331,6 +331,14 @@ class TestExactChannelOracle:
                 NoiseModel(p1=2e-5, p2=5e-3, p_meas=1e-3),
                 id="native-cswap-state-prep",
             ),
+            *[
+                pytest.param(
+                    transpile_native(dual_overlap_circuit(pi / 4)).circuit,
+                    NoiseModel(p1=2e-5, p2=p2, p_meas=1e-3),
+                    id=f"native-dual-overlap-p2-{p2:g}",
+                )
+                for p2 in (5e-4, 5e-3)
+            ],
         ],
     )
     def test_trajectory_histogram_matches_density_matrix(self, circ, model):
