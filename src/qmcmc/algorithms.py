@@ -217,16 +217,6 @@ def _padded(state: StateVector, extra: int) -> np.ndarray:
     return amps.reshape((1,) + (2,) * (extra + state.num_qubits))
 
 
-def qpe_point_mass_distribution(phase: float, t: int) -> np.ndarray:
-    """Exact QPE outcome law for one eigenphase: squared Dirichlet kernel."""
-    n = 2**t
-    ks = np.arange(n)
-    amp = np.array(
-        [np.sum(np.exp(2j * pi * np.arange(n) * (phase - k / n))) / n for k in ks]
-    )
-    return np.abs(amp) ** 2
-
-
 # -- stationary-state preparation ----------------------------------------------
 
 
@@ -268,12 +258,7 @@ def reflection_walk_circuit(prep: Circuit, flag: str) -> Circuit:
     The reflection is prep (2|0><0| - 1) prep^dag over all prep qubits; the
     walk multiplies it by Z on the flag.
     """
-    circ = Circuit(prep.qubits)
-    circ.extend(prep.inverse().ops)
-    circ.zero_reflection(list(prep.qubits))
-    circ.extend(prep.ops)
-    circ.z(flag)
-    return circ.freeze()
+    return Circuit(prep.qubits).reflection(prep, prep.qubits).z(flag).freeze()
 
 
 def qae_mean(

@@ -278,18 +278,21 @@ class Circuit:
             self._add("measure", (q,))
         return self
 
-    def zero_reflection(self, qubits: Sequence[str]) -> "Circuit":
-        """Append 2|0..0><0..0| - 1 on the given qubits (exact, no global phase).
+    def reflection(self, prep: "Circuit", qubits: Sequence[str], controls=()) -> "Circuit":
+        """Append prep (2|0..0><0..0| - 1) prep^dag, with |0..0> on ``qubits``.
 
-        Inclusion-exclusion product of Z gates over all nonempty subsets:
-        every basis state with at least one 1 among the qubits picks up an
-        odd number of -1 factors.
+        The core is an inclusion-exclusion product of Z gates over all
+        nonempty subsets of ``qubits``: every basis state with at least one 1
+        among them picks up an odd number of -1 factors (exact, no global
+        phase).  Only the core carries ``controls``, ahead of each Z's own:
+        prep and prep^dag cancel when a control is 0.
         """
+        self.extend(prep.inverse().ops)
         qs = list(qubits)
         for size in range(1, len(qs) + 1):
             for subset in combinations(qs, size):
-                self._add("z", (subset[-1],), tuple(subset[:-1]))
-        return self
+                self._add("z", (subset[-1],), tuple(controls) + subset[:-1])
+        return self.extend(prep.ops)
 
     # -- inspection --------------------------------------------------------
 

@@ -12,17 +12,17 @@ Reports are reproducible: identical spec and seed give byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from math import acos, pi, sqrt
 
 import numpy as np
 
-from .algorithms import FunctionOracle, mean_estimate_from_phase
+from .algorithms import FunctionOracle, inverse_qft_ops, mean_estimate_from_phase
 from .circuit import Circuit
 from .errors import SchemaError
 from .markov import MarkovKernel, two_state_kernel
 from .noise import ZERO_NOISE, NoiseModel, sample_with_noise
-from .references import experiment_reference, gate_reference, reference_histogram
+from .references import experiment_reference, gate_reference, reference_table
 from .spue import (
     DUAL_QUBITS,
     check_spectral_correspondence,
@@ -64,8 +64,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment {self.name!r}")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        if not _is_count(self.shots) or self.shots < 1:
+            raise ValueError(f"shots must be an int >= 1, not {self.shots!r}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if self.t < 1:
@@ -123,9 +123,11 @@ class ExperimentReport:
         """Rebuild a report from ``to_dict`` output, without its comparison.
 
         Every histogram key must be a ``len(bit_order)``-wide string of 0s and
-        1s and every count a non-negative ``int``, and so must the derived
-        counts that ``compare`` reads (lcu-qae's ``mean_estimate_histogram``,
-        dual-overlap's ``zero_outcomes``); otherwise ``SchemaError``.
+        1s, every count a non-negative ``int``, and the counts must sum to
+        ``spec.shots`` (spectral-check has no histogram).  The derived counts
+        (lcu-qae's ``mean_estimate_histogram``, dual-overlap's
+        ``zero_outcomes``) must be non-negative ``int`` too.  Otherwise
+        ``SchemaError``.
         """
         try:
             report = cls(
@@ -143,6 +145,9 @@ class ExperimentReport:
                 raise SchemaError(f"malformed report: histogram key {key!r} is not {width} bits")
             if not _is_count(count):
                 raise SchemaError(f"malformed report: count {count!r} of {key} is not a non-negative int")
+        total, shots = sum(report.histogram.values()), report.spec.shots
+        if report.spec.name != "spectral-check" and total != shots:
+            raise SchemaError(f"malformed report: histogram total {total} is not spec.shots {shots}")
         derived = report.derived
         if report.spec.name == "lcu-qae":
             estimates = derived.get("mean_estimate_histogram")
@@ -194,9 +199,7 @@ def szegedy_state_prep_circuit(delta: float) -> Circuit:
     circ.h("c")
     for _ in range(3):
         circ.swap("x", "y", controls=("c",))
-        circ.extend(row_prep.inverse().ops)
-        circ.z("y", controls=("c",))
-        circ.extend(row_prep.ops)
+        circ.reflection(row_prep, ["y"], controls=("c",))
     circ.h("c")
     circ.measure("x", "y", "c")
     return circ.freeze()
@@ -206,18 +209,12 @@ def cswap_state_prep_circuit(acceptance_angle: float) -> Circuit:
     theta = acceptance_angle
     circ = Circuit(["p", "x", "y", "coin"])
     circ.h("x")  # uniform stationary state on x
-    prep_ops = Circuit(["x", "y", "coin"])
-    prep_ops.cx("x", "y").x("y").ry(-2 * theta, "coin")
-    circ.extend(prep_ops.ops)
+    prep = Circuit(["x", "y", "coin"]).cx("x", "y").x("y").ry(-2 * theta, "coin")
+    circ.extend(prep.ops)
     circ.h("p")
-    # Controlled walk: controlled swap, then the prep-conjugated reflection
-    # with only its core phase flips controlled.
+    # Controlled walk: controlled swap, then the controlled reflection.
     circ.swap("x", "y", controls=("coin", "p"))
-    circ.extend(prep_ops.inverse().ops)
-    circ.z("y", controls=("p",))
-    circ.z("coin", controls=("p",))
-    circ.z("coin", controls=("p", "y"))
-    circ.extend(prep_ops.ops)
+    circ.reflection(prep, ["y", "coin"], controls=("p",))
     circ.h("p")
     circ.measure("p", "x", "y", "coin")
     return circ.freeze()
@@ -242,28 +239,16 @@ def lcu_qae_circuit(delta: float, t: int = 2) -> Circuit:
     for _ in range(3):
         circ.extend(_controlled_lcu_walk_ops(delta, "c", "a", "x"))
     circ.h("c")
-    oracle_ops = indicator_oracle().circuit.renamed({"x0": "x"}).ops
-    circ.extend(oracle_ops)
-
-    def controlled_reflection_walk(ctrl: str):
-        # prep network of the target state: uniform state on x, then oracle.
-        prep = Circuit(["x", "f"]).ry(pi / 2, "x")
-        prep.extend(indicator_oracle().circuit.renamed({"x0": "x"}).ops)
-        circ.extend(prep.inverse().ops)
-        circ.z("x", controls=(ctrl,))
-        circ.z("f", controls=(ctrl,))
-        circ.z("f", controls=(ctrl, "x"))
-        circ.extend(prep.ops)
-        circ.z("f", controls=(ctrl,))
-
+    oracle = indicator_oracle().circuit.renamed({"x0": "x"})
+    circ.extend(oracle.ops)
+    # prep network of the target state: uniform state on x, then oracle.
+    prep = Circuit(["x", "f"]).ry(pi / 2, "x").extend(oracle.ops)
     circ.h("j0").h("j1")
-    controlled_reflection_walk("j0")
-    controlled_reflection_walk("j1")
-    controlled_reflection_walk("j1")
-    # Swap-free inverse QFT over (j0, j1); j0 carries the high phase bit.
-    circ.h("j1")
-    circ.phase(-pi / 2, "j0", controls=("j1",))
-    circ.h("j0")
+    # Controlled reflection walk: j0 applies it once, j1 twice.
+    for ctrl in ("j0", "j1", "j1"):
+        circ.reflection(prep, ["x", "f"], controls=(ctrl,))
+        circ.z("f", controls=(ctrl,))
+    inverse_qft_ops(circ, ["j0", "j1"])  # swap-free: j0 carries the high phase bit
     circ.measure("x", "c", "j1", "j0", "f", "a")
     return circ.freeze()
 
@@ -399,21 +384,25 @@ def _run_lcu_qae(spec: ExperimentSpec) -> ExperimentReport:
     bits = circ.measured()
     counts = _counts(circ, spec.shots, spec.seed, spec.noise)
     success = sum(c for k, c in counts.items() if k[1] == "0")
+    derived = {
+        "prep_success_count": success,
+        "mean_estimate_histogram": _mean_estimates(counts),
+        "expected_mean": 0.5,
+    }
+    return ExperimentReport(spec, bits, counts, success, derived)
+
+
+def _mean_estimates(counts: dict[str, int]) -> dict[str, int]:
+    """lcu-qae mean-estimate histogram of the prep successes, keyed by estimate."""
     estimates: dict[str, int] = {}
     for k, c in counts.items():
         if k[1] != "0":  # post-filter on preparation success
             continue
-        # Wire j0 carries the high bit of the measured phase value.
+        # Wire j0 carries the high bit of the two-bit phase value.
         phase_k = (int(k[3]) << 1) | int(k[2])
-        est = mean_estimate_from_phase(phase_k, spec.t)
-        key = f"{est:g}"
+        key = f"{mean_estimate_from_phase(phase_k, 2):g}"
         estimates[key] = estimates.get(key, 0) + c
-    derived = {
-        "prep_success_count": success,
-        "mean_estimate_histogram": dict(sorted(estimates.items())),
-        "expected_mean": 0.5,
-    }
-    return ExperimentReport(spec, bits, counts, success, derived)
+    return dict(sorted(estimates.items()))
 
 
 def _run_dual_eigenstate(spec: ExperimentSpec) -> ExperimentReport:
@@ -466,49 +455,33 @@ def compare(report: ExperimentReport, source: str = "expected") -> dict:
     """TVD and per-outcome z-scores of a report against a reference dataset.
 
     ``source`` is 'expected' or a device name.  Device rows are informational:
-    they carry hardware noise and are not a correctness contract.
+    they carry hardware noise and are not a correctness contract.  Every
+    table on the report's side is computed from its histogram.
     """
     name = report.spec.name
-    ref = experiment_reference(name)
-    if name == "lcu-qae":
-        mine = {k: v for k, v in report.derived["mean_estimate_histogram"].items()}
-        if source == "expected":
-            theirs = {f"{float(k):g}": v for k, v in ref["expected_estimates"].items()}
-        else:
-            theirs = {
-                f"{float(k):g}": v
-                for k, v in _device_entry(ref, source)["estimates"].items()
-            }
-        return _histogram_comparison(mine, theirs, source)
-    if name == "dual-overlap":
-        zeros = report.derived["zero_outcomes"]
-        mine = {"zero": zeros, "other": report.spec.shots - zeros}
-        if source == "expected":
-            z = ref["expected_summary"]["zero_outcomes"]
-            total = ref["shots"]
-        else:
-            z = _device_entry(ref, source)["summary"]["zero_outcomes"]
-            total = ref["shots"]
-        theirs = {"zero": z, "other": total - z}
-        return _histogram_comparison(mine, theirs, source)
     if name == "spectral-check":
         raise SchemaError("spectral-check has no measurement reference")
-    theirs = reference_histogram(name, source)
+    ref = experiment_reference(name)
     if tuple(ref["bit_order"]) != tuple(report.bit_order):
         raise SchemaError(
             f"bit order mismatch: report {report.bit_order} vs reference {ref['bit_order']}"
         )
-    widths = {len(k) for k in list(theirs) + list(report.histogram)}
-    if len(widths) > 1:
-        raise SchemaError(f"outcome spaces differ in width: {sorted(widths)}")
-    return _histogram_comparison(report.histogram, theirs, source)
-
-
-def _device_entry(ref: dict, source: str) -> dict:
-    devices = ref.get("devices", {})
-    if source not in devices:
-        raise SchemaError(f"no reference rows for source {source!r}")
-    return devices[source]
+    if name == "lcu-qae":
+        mine = _mean_estimates(report.histogram)
+        table = reference_table(name, source, "estimates")
+        theirs = {f"{float(k):g}": v for k, v in table.items()}
+    elif name == "dual-overlap":
+        zeros = report.histogram.get("0" * len(report.bit_order), 0)
+        mine = {"zero": zeros, "other": sum(report.histogram.values()) - zeros}
+        z = reference_table(name, source, "summary")["zero_outcomes"]
+        theirs = {"zero": z, "other": ref["shots"] - z}
+    else:
+        mine = report.histogram
+        theirs = reference_table(name, source, "counts")
+        widths = {len(k) for k in list(theirs) + list(mine)}
+        if len(widths) > 1:
+            raise SchemaError(f"outcome spaces differ in width: {sorted(widths)}")
+    return _histogram_comparison(mine, theirs, source)
 
 
 def _histogram_comparison(mine: dict[str, int], theirs: dict[str, int], source: str) -> dict:
@@ -532,15 +505,7 @@ def run_with_comparison(spec: ExperimentSpec, source: str = "expected") -> Exper
     report = run(spec)
     if spec.name == "spectral-check":
         return report
-    comparison = compare(report, source)
-    return ExperimentReport(
-        report.spec,
-        report.bit_order,
-        report.histogram,
-        report.success_count,
-        report.derived,
-        comparison,
-    )
+    return replace(report, comparison=compare(report, source))
 
 
 # -- transpile reporting ---------------------------------------------------------

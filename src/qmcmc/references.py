@@ -31,15 +31,13 @@ def gate_reference(name: str) -> dict | None:
     return load_references()["gate_references"].get(name)
 
 
-def reference_histogram(name: str, source: str) -> dict[str, int]:
-    """Counts table for 'expected' or a device name like 'H2-1'."""
+def reference_table(name: str, source: str, kind: str) -> dict:
+    """The ``kind`` table (counts, estimates or summary) of 'expected' or a device like 'H2-1'."""
     ref = experiment_reference(name)
     if source == "expected":
-        counts = ref.get("expected_counts")
-        if counts is None:
-            raise SchemaError(f"{name} has no expected counts table")
-        return dict(counts)
-    devices = ref.get("devices", {})
-    if source not in devices or "counts" not in devices[source]:
-        raise SchemaError(f"{name} has no counts table for source {source!r}")
-    return dict(devices[source]["counts"])
+        table = ref.get(f"expected_{kind}")
+    else:
+        table = ref.get("devices", {}).get(source, {}).get(kind)
+    if table is None:
+        raise SchemaError(f"{name} has no {kind} table for source {source!r}")
+    return dict(table)

@@ -164,12 +164,8 @@ def walk_operator(spue: Spue) -> WalkOperator:
         and iso.zero_qubits
         and iso.source_dim * 2 ** len(iso.zero_qubits) == iso.space_dim
     ):
-        circuit = Circuit(spue.circuit.qubits)
-        circuit.extend(spue.circuit.ops)
-        circuit.extend(iso.prep_circuit.inverse().ops)
-        circuit.zero_reflection(iso.zero_qubits)
-        circuit.extend(iso.prep_circuit.ops)
-        circuit.freeze()
+        circuit = Circuit(spue.circuit.qubits).extend(spue.circuit.ops)
+        circuit.reflection(iso.prep_circuit, iso.zero_qubits).freeze()
         dev = float(np.max(np.abs(unitary_of(circuit) - total)))
         if dev > UNITARY_TOL:
             raise ConstructionInvalid(f"walk circuit disagrees with matrix by {dev:.3e}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import pi
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -32,6 +34,16 @@ def phases_equal_up_to_global(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -
     if abs(abs(phase) - 1.0) > 1e-6:
         return False
     return bool(np.allclose(u, phase * v, atol=tol, rtol=0))
+
+
+def qpe_point_mass_distribution(phase: float, t: int) -> np.ndarray:
+    """Exact QPE outcome law for one eigenphase: squared Dirichlet kernel."""
+    n = 2**t
+    ks = np.arange(n)
+    amp = np.array(
+        [np.sum(np.exp(2j * pi * np.arange(n) * (phase - k / n))) / n for k in ks]
+    )
+    return np.abs(amp) ** 2
 
 
 def random_circuit(rng: np.random.Generator, qubits: list[str], depth: int):

@@ -9,7 +9,6 @@ from qmcmc.algorithms import (
     phase_estimation,
     prepare_stationary,
     qae_mean,
-    qpe_point_mass_distribution,
     reflection_walk_circuit,
     state_prep_circuit,
 )
@@ -18,7 +17,7 @@ from qmcmc.markov import two_state_kernel
 from qmcmc.spue import lcu_walk, szegedy_walk, two_state_row_prep
 from qmcmc.statevector import basis_state, from_amplitudes, statevector_of, zero_state
 
-from conftest import random_reversible_kernel
+from conftest import qpe_point_mass_distribution, random_reversible_kernel
 
 
 class TestFunctionOracle:

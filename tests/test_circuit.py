@@ -83,9 +83,21 @@ class TestZeroReflection:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_exact_reflection(self, k):
         qubits = [f"q{i}" for i in range(k)]
-        circ = Circuit(qubits).zero_reflection(qubits)
+        circ = Circuit(qubits).reflection(Circuit(qubits), qubits)
         expected = -np.eye(2**k)
         expected[0, 0] = 1.0
+        assert np.max(np.abs(unitary_of(circ) - expected)) < 1e-12
+
+    def test_controlled_reflection(self):
+        # Only the Z core is controlled; prep and prep^dag cancel on control 0.
+        prep = Circuit(["a", "b"]).ry(0.7, "a").cx("a", "b").rz(0.3, "b").h("a")
+        circ = Circuit(["c", "a", "b"]).reflection(prep, ["a", "b"], controls=("c",))
+        u = unitary_of(prep)
+        core = -np.eye(4)
+        core[0, 0] = 1.0
+        expected = np.zeros((8, 8), dtype=complex)
+        expected[:4, :4] = np.eye(4)
+        expected[4:, 4:] = u @ core @ u.conj().T
         assert np.max(np.abs(unitary_of(circ) - expected)) < 1e-12
 
 

@@ -214,6 +214,59 @@ def test_compare_malformed_derived_counts_is_schema_error(
 
 
 @pytest.mark.parametrize("experiment", _COMPARED)
+@pytest.mark.parametrize("shots", [5, float("nan"), 200.5, True], ids=["5", "nan", "200.5", "true"])
+def test_compare_shots_not_the_histogram_total_is_schema_error(
+    tmp_path, capsys, stored_reports, experiment, shots
+):
+    payload = json.loads(json.dumps(stored_reports[experiment]))
+    payload["spec"]["shots"] = shots
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(bad)]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["lcu-qae", "dual-overlap"])
+def test_compare_bit_order_mismatch_is_schema_error(tmp_path, capsys, stored_reports, experiment):
+    # A one-bit readout of the right total: the estimate and zero tables read the histogram's bits.
+    report = stored_reports[experiment]
+    payload = {**report, "bit_order": report["bit_order"][:1], "histogram": {"0": report["spec"]["shots"]}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(bad)]) == 2
+    assert "bit order mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, damage",
+    [
+        pytest.param(
+            "lcu-qae",
+            lambda d: {"mean_estimate_histogram": _set_first(d["mean_estimate_histogram"], key=lambda k: "abc")},
+            id="lcu-qae-estimate-key",
+        ),
+        pytest.param(
+            "dual-overlap", lambda d: {"zero_outcomes": d["zero_outcomes"] // 2}, id="dual-overlap-zero-count"
+        ),
+    ],
+)
+def test_compare_ignores_derived_counts(tmp_path, capsys, stored_reports, experiment, damage):
+    # compare reads the histogram, so derived tables edited to other valid counts change nothing
+    report = stored_reports[experiment]
+    damaged = {**report, "derived": {**report["derived"], **damage(report["derived"])}}
+    outputs = []
+    for payload in (report, damaged):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["compare", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("experiment", _COMPARED)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_compare_exit_code_is_0_or_2(tmp_path, stored_reports, experiment, data):

@@ -21,7 +21,7 @@ from qmcmc.experiments import (
     transpile_report,
 )
 from qmcmc.noise import NoiseModel, ZERO_NOISE
-from qmcmc.references import experiment_reference, reference_histogram
+from qmcmc.references import experiment_reference, reference_table
 
 from conftest import noise_models
 
@@ -32,8 +32,9 @@ class TestSpecValidation:
             ExperimentSpec("unknown")
 
     def test_shots_positive(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec("lcu-state-prep", shots=0)
+        for shots in (0, 2.5, float("nan"), True):
+            with pytest.raises(ValueError):
+                ExperimentSpec("lcu-state-prep", shots=shots)
 
     def test_default_angles(self):
         assert ExperimentSpec("cswap-state-prep").angle() == pytest.approx(np.pi / 6)
@@ -204,11 +205,11 @@ class TestReferences:
             assert "bit_order" in ref
 
     def test_expected_histogram_loads(self):
-        counts = reference_histogram("lcu-state-prep", "expected")
+        counts = reference_table("lcu-state-prep", "expected", "counts")
         assert sum(counts.values()) == 10_000
 
     def test_device_histograms_normalize(self):
-        counts = reference_histogram("cswap-state-prep", "H2-1")
+        counts = reference_table("cswap-state-prep", "H2-1", "counts")
         assert sum(counts.values()) == 10_000
 
 

@@ -11,7 +11,14 @@ from scipy.stats import chi2
 from qmcmc import noise
 from qmcmc.circuit import Circuit
 from qmcmc.errors import SchemaError
-from qmcmc.experiments import cswap_state_prep_circuit, dual_overlap_circuit
+from qmcmc.experiments import (
+    cswap_state_prep_circuit,
+    dual_eigenstate_circuits,
+    dual_overlap_circuit,
+    lcu_qae_circuit,
+    lcu_state_prep_circuit,
+    szegedy_state_prep_circuit,
+)
 from qmcmc.noise import NoiseModel, ZERO_NOISE, apply_trajectory, sample_with_noise
 from qmcmc.statevector import sample, statevector_of
 from qmcmc.transpile import transpile_native
@@ -338,6 +345,19 @@ class TestExactChannelOracle:
                     id=f"native-dual-overlap-p2-{p2:g}",
                 )
                 for p2 in (5e-4, 5e-3)
+            ],
+            *[
+                pytest.param(
+                    transpile_native(circ).circuit,
+                    NoiseModel(p1=2e-5, p2=5e-3, p_meas=1e-3),
+                    id=f"native-{name}",
+                )
+                for name, circ in (
+                    ("lcu-state-prep", lcu_state_prep_circuit(0.25)),
+                    ("lcu-qae", lcu_qae_circuit(0.25)),
+                    ("szegedy-state-prep", szegedy_state_prep_circuit(0.25)),
+                    ("dual-eigenstate-walked", dual_eigenstate_circuits(pi / 4)[1]),
+                )
             ],
         ],
     )
