@@ -17,8 +17,12 @@ draws altogether: it evolves one statevector and inverts the CDF with
 The batched engine separates the fault draws from state evolution.  It
 draws every shot's fault pattern, the tuple of its ``(site, pauli)`` events,
 and evolves each distinct pattern once; most shots share the fault-free
-pattern.  Patterns are evolved as one batch, in chunks whose amplitudes stay
-within a fixed byte budget, so memory grows with the budget and the shot
+pattern.  Patterns are evolved in the input frame: the gates act only on the
+``2**n`` basis columns of the prefix unitary, and a pattern's amplitudes
+change only at its own fault sites, so gate work does not grow with the
+pattern count.  The frame takes ``16 * 4**n`` bytes, which bounds noisy
+sampling to 11 qubits.  Patterns are handled in chunks whose amplitudes stay
+within a fixed byte budget, so memory grows with the budgets and the shot
 count rather than with ``shots * 2**n``.  Each shot then inverts the CDF of
 its pattern's outcome law with its own outcome uniform.
 
@@ -41,6 +45,7 @@ from .errors import SchemaError
 from .rng import ShotStreams, shot_rng
 from .statevector import (
     StateVector,
+    check_shots,
     from_amplitudes,
     invert_cdf,
     outcome_counts,
@@ -57,6 +62,8 @@ _PAULI_1Q = [_PAULI["x"], _PAULI["y"], _PAULI["z"]]
 
 # Amplitude bytes of one batch of fault patterns evolved together.
 _BATCH_BYTES = 64 << 20
+# Bytes of the 2**n x 2**n input frame of the noisy engine (n <= 11).
+_FRAME_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,7 @@ class NoiseModel:
         if self.attach not in ("native", "logical"):
             raise ValueError("attach must be 'native' or 'logical'")
         if self.p2 < self.p1:
-            warnings.warn("two-qubit rate p2 below single-qubit rate p1", stacklevel=2)
+            warnings.warn("two-qubit rate p2 below single-qubit rate p1", stacklevel=3)
 
     @property
     def is_zero(self) -> bool:
@@ -211,9 +218,10 @@ def sample_with_noise(
 
     The all-zero model evolves one statevector and samples it with
     ``sample_from_probabilities``, so it is the noiseless sampler bit for bit.
+    Any other model needs the ``16 * 4**n`` bytes of the input frame to fit
+    in ``_FRAME_BYTES``, so it is limited to 11 qubits.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_shots(shots)
     measured = circuit.measured()
     if not measured:
         raise ValueError("nothing to measure")
@@ -225,6 +233,11 @@ def sample_with_noise(
         final = evolve(_ground_batch(1, n), circuit.gates())
         probs = marginal_probabilities(final, idx, n)[0]
         return sample_from_probabilities(probs, m, shots, seed)
+    if 16 * 4**n > _FRAME_BYTES:
+        raise ValueError(
+            f"noisy sampling holds a 2**n x 2**n frame; {n} qubits exceed "
+            f"its {_FRAME_BYTES >> 20} MiB budget"
+        )
 
     gates, arities, rates = _sites(circuit, model)
     u_out = np.empty(shots)
@@ -262,22 +275,44 @@ def _evolve_patterns(
 ) -> np.ndarray:
     """One final state per fault pattern, as a ``(len(patterns), 2, ..., 2)`` batch.
 
-    Every gate acts on the whole batch; at each site, each distinct Pauli
-    acts in one kernel call on just the rows whose pattern carries it.
+    The gates act on the input frame, not on the patterns.  The prefix
+    unitary ``W_s = G_s ... G_1`` is carried as its ``2**n`` basis columns
+    (row j of ``frame`` is ``W_s e_j``), and each pattern row ``x`` starts at
+    |0...0>.  A fault ``P`` after gate ``s`` maps the row to
+    ``W_s^dag P W_s x``, because ``G_S ... G_{s+1} P W_s = W W_s^dag P W_s``;
+    the final state is ``W x``.  At each faulted site the rows that fire are
+    gathered once and taken to the output frame, each distinct Pauli acts in
+    one kernel call on its slice, and the rows are taken back.  Gate work
+    thus grows with ``2**n`` columns rather than with the pattern count.
+    The amplitudes agree with gate-by-gate evolution up to rounding.
     """
     faults: dict[int, dict[int, list[int]]] = {}
     for row, pattern in enumerate(patterns):
         for site, pauli in pattern:
             faults.setdefault(site, {}).setdefault(pauli, []).append(row)
-    batch = _ground_batch(len(patterns), num_qubits)
-    for site, (mat, targets, controls) in enumerate(gates):
-        batch = apply_matrix_nd(batch, mat, targets, controls)
+    dim, shape = 2**num_qubits, (2,) * num_qubits
+    frame = np.eye(dim, dtype=complex).reshape((dim,) + shape)
+    rows = _ground_batch(len(patterns), num_qubits).reshape(len(patterns), dim)
+    done = 0
+    for site in sorted(faults):
+        frame = evolve(frame, gates[done : site + 1])
+        done = site + 1
+        prefix = frame.reshape(dim, dim)
+        _, targets, controls = gates[site]
         qubits = controls + targets
-        for pauli, rows in faults.get(site, {}).items():
-            batch[rows] = apply_matrix_nd(
-                batch[rows], _pauli_matrix(len(qubits), pauli), qubits, ()
+        groups = faults[site]
+        hit = np.concatenate(list(groups.values()))
+        out = (rows[hit] @ prefix).reshape((len(hit),) + shape)
+        first = 0
+        for pauli, group in groups.items():
+            last = first + len(group)
+            out[first:last] = apply_matrix_nd(
+                out[first:last], _pauli_matrix(len(qubits), pauli), qubits, ()
             )
-    return batch
+            first = last
+        rows[hit] = out.reshape(len(hit), dim) @ prefix.conj().T
+    frame = evolve(frame, gates[done:])
+    return (rows @ frame.reshape(dim, dim)).reshape((len(patterns),) + shape)
 
 
 def _ground_batch(size: int, num_qubits: int) -> np.ndarray:

@@ -114,7 +114,7 @@ class Spue:
             warnings.warn(
                 f"encoding unitary {self.name or '<anonymous>'} is not symmetric; "
                 "only the encoded operator's symmetry is enforced",
-                stacklevel=2,
+                stacklevel=3,
             )
         encoded_operator(self)  # raises NotSymmetric on a broken encoding
 

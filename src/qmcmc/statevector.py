@@ -15,6 +15,7 @@ shots come from one vectorized pass, ``rng.first_uniforms``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -146,8 +147,6 @@ def sample(
     state: StateVector, qubits: tuple[int, ...] | list[int], shots: int, seed: int
 ) -> dict[str, int]:
     """Histogram of bitstrings over ``qubits`` (in that order) for seeded shots."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     qubits = tuple(qubits)
     probs = marginal_probabilities(state.amps, qubits, state.num_qubits)[0]
     return sample_from_probabilities(probs, len(qubits), shots, seed)
@@ -164,8 +163,15 @@ def sample_from_probabilities(
     ``first_uniforms`` evaluates those first draws for every shot at once,
     with no per-shot generator.
     """
+    check_shots(shots)
     u = first_uniforms(seed, np.arange(shots, dtype=np.uint64))
     return outcome_counts(invert_cdf(probs, u), num_bits)
+
+
+def check_shots(shots) -> None:
+    """Raise ``ValueError`` unless ``shots`` is an integral, non-``bool`` count >= 1."""
+    if not isinstance(shots, Integral) or isinstance(shots, bool) or shots < 1:
+        raise ValueError(f"shots must be an int >= 1, not {shots!r}")
 
 
 def invert_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:

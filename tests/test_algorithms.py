@@ -167,6 +167,13 @@ class TestQaeMean:
         hist = qae_mean(pi_state, oracle, t=2, shots=300, seed=4)
         assert hist == {0.5: 300}
 
+    @pytest.mark.parametrize("shots", [2.5, float("nan"), True], ids=repr)
+    def test_non_integral_shots_rejected(self, shots):
+        oracle = FunctionOracle.from_table([0.0, 1.0])
+        pi_state = from_amplitudes(np.full(2, 1 / np.sqrt(2)))
+        with pytest.raises(ValueError, match="shots must be an int >= 1"):
+            qae_mean(pi_state, oracle, t=2, shots=shots, seed=2)
+
     def test_estimate_map_is_even_in_k(self):
         for t in (1, 2, 3, 4):
             for k in range(2**t):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from qmcmc import noise
+from qmcmc._apply import apply_matrix
 from qmcmc.circuit import Circuit
 from qmcmc.errors import SchemaError
 from qmcmc.experiments import (
@@ -20,7 +21,7 @@ from qmcmc.experiments import (
     szegedy_state_prep_circuit,
 )
 from qmcmc.noise import NoiseModel, ZERO_NOISE, apply_trajectory, sample_with_noise
-from qmcmc.statevector import sample, statevector_of
+from qmcmc.statevector import sample, statevector_of, zero_state
 from qmcmc.transpile import transpile_native
 
 from conftest import noise_models
@@ -96,8 +97,9 @@ class TestNoiseModel:
             NoiseModel(attach="nowhere")
 
     def test_warns_when_p2_below_p1(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             NoiseModel(p1=1e-3, p2=1e-5)
+        assert record[0].filename == __file__
 
     def test_json_round_trip(self):
         model = NoiseModel(p1=1e-4, p2=2e-3, p_meas=5e-4, attach="logical")
@@ -135,6 +137,19 @@ class TestZeroNoiseEquivalence:
             direct = sample(state, [0, 1], 1500, seed)
             noisy_path = sample_with_noise(circ, ZERO_NOISE, 1500, seed)
             assert direct == noisy_path
+
+
+class TestShotCount:
+    @pytest.mark.parametrize("model", [ZERO_NOISE, NoiseModel()], ids=["zero-noise", "noisy"])
+    @pytest.mark.parametrize("shots", [2.5, float("nan"), True], ids=repr)
+    def test_non_integral_shots_rejected(self, model, shots):
+        with pytest.raises(ValueError, match="shots must be an int >= 1"):
+            sample_with_noise(_bell_circuit(), model, shots, seed=1)
+
+    @pytest.mark.parametrize("model", [ZERO_NOISE, NoiseModel()], ids=["zero-noise", "noisy"])
+    def test_numpy_integer_shots_accepted(self, model):
+        hist = sample_with_noise(_bell_circuit(), model, np.int64(40), seed=1)
+        assert sum(hist.values()) == 40
 
 
 class TestTrajectoryMechanics:
@@ -253,6 +268,65 @@ class TestMemoryBudget:
         assert sample_with_noise(circ, model, 300, seed=4) == whole
         assert max(sizes) == rows_per_chunk
         assert len(sizes) > 2
+
+
+def _sequential_final_state(gates, pattern, n):
+    """Gate by gate with ``apply_matrix``, each fault Pauli right after its gate."""
+    events = dict(pattern)
+    amps = zero_state(n).amps
+    for site, (mat, targets, controls) in enumerate(gates):
+        amps = apply_matrix(amps, mat, targets, controls, n)
+        if site in events:
+            qubits = controls + targets
+            amps = apply_matrix(amps, noise._pauli_matrix(len(qubits), events[site]), qubits, (), n)
+    return amps
+
+
+class TestInputFrameEngine:
+    @pytest.mark.parametrize(
+        "circ",
+        [
+            pytest.param(transpile_native(dual_overlap_circuit(pi / 4)).circuit, id="native"),
+            pytest.param(dual_overlap_circuit(pi / 4), id="logical"),
+        ],
+    )
+    def test_matches_sequential_reference(self, circ):
+        # dual-overlap at n = 6: the native gates have no controls, so the
+        # logical circuit covers faults on controlled gates.
+        n = circ.num_qubits
+        gates, arities, _ = noise._sites(circ, NoiseModel())
+        last = len(gates) - 1
+        wide = [site for site, (_, _, controls) in enumerate(gates) if controls] or [
+            site for site in range(len(gates)) if arities[site] == 2
+        ]
+        multi, later = wide[0], wide[-1]
+        top = 4 ** int(arities[multi]) - 1
+        patterns = [
+            (),
+            ((0, 1),),
+            ((last, 3),),
+            ((multi, top),),
+            ((multi, 1),),
+            ((0, 2), (multi, top - 1)),
+            ((0, 3), (later, 1), (last, 2)),
+            ((multi, 1), (later, 2), (last, 1)),
+        ]
+        finals = noise._evolve_patterns(patterns, gates, n).reshape(len(patterns), -1)
+        for pattern, final in zip(patterns, finals):
+            expected = _sequential_final_state(gates, pattern, n)
+            assert np.max(np.abs(final - expected)) < 1e-12, pattern
+
+    def test_width_guard(self):
+        qubits = [f"q{i}" for i in range(12)]
+        circ = Circuit(qubits).h("q0")
+        for q in qubits[1:]:
+            circ.cx("q0", q)
+        circ.measure(*qubits)
+        circ.freeze()
+        with pytest.raises(ValueError, match="12 qubits"):
+            sample_with_noise(circ, NoiseModel(p1=0.0, p2=1e-3, p_meas=0.0), 10, seed=1)
+        hist = sample_with_noise(circ, ZERO_NOISE, 10, seed=1)
+        assert set(hist) <= {"0" * 12, "1" * 12} and sum(hist.values()) == 10
 
 
 _PAULI_BASIS = (

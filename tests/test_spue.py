@@ -147,6 +147,14 @@ class TestSpectralCorrespondence:
         walk = walk_operator(spue)
         assert np.allclose(walk.total, 2 * iso.projector() - np.eye(4))
 
+    def test_non_symmetric_unitary_warns_at_the_caller(self):
+        iso = PartialIsometry(np.eye(4)[:, :2].astype(complex))
+        u = np.eye(4, dtype=complex)
+        u[2:, 2:] = [[0, 1], [-1, 0]]
+        with pytest.warns(UserWarning, match="not symmetric") as record:
+            Spue(u, iso)
+        assert record[0].filename == __file__
+
 
 class TestDualWalk:
     def test_eigenstate_basis_labels(self):
