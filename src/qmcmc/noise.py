@@ -20,10 +20,12 @@ and evolves each distinct pattern once; most shots share the fault-free
 pattern.  Patterns are evolved in the input frame: the gates act only on the
 ``2**n`` basis columns of the prefix unitary, and a pattern's amplitudes
 change only at its own fault sites, so gate work does not grow with the
-pattern count.  The frame takes ``16 * 4**n`` bytes, which bounds noisy
-sampling to 11 qubits.  Patterns are handled in chunks whose amplitudes stay
-within a fixed byte budget, so memory grows with the budgets and the shot
-count rather than with ``shots * 2**n``.  Each shot then inverts the CDF of
+pattern count.  The frame products run as stacks of small row blocks that
+OpenBLAS keeps on the calling thread, so the engine uses one core.  The frame
+takes ``16 * 4**n`` bytes, which bounds noisy sampling to 11 qubits.
+Patterns are handled in chunks whose amplitudes stay within a fixed byte
+budget, so memory grows with the budgets and the shot count rather than
+with ``shots * 2**n``.  Each shot then inverts the CDF of
 its pattern's outcome law with its own outcome uniform.
 
 Default rates are an order-of-magnitude stand-in for trapped-ion hardware,
@@ -64,6 +66,11 @@ _PAULI_1Q = [_PAULI["x"], _PAULI["y"], _PAULI["z"]]
 _BATCH_BYTES = 64 << 20
 # Bytes of the 2**n x 2**n input frame of the noisy engine (n <= 11).
 _FRAME_BYTES = 64 << 20
+# OpenBLAS runs a complex GEMM on its thread pool once m * n * k reaches
+# 2**16, and a woken pool spins for about 0.1 s waiting for more work.  The
+# frame products stay below that size (see ``_serial_product``), so the noisy
+# engine holds one core and its speed does not hang on a second one being free.
+_SERIAL_MNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -302,7 +309,7 @@ def _evolve_patterns(
         qubits = controls + targets
         groups = faults[site]
         hit = np.concatenate(list(groups.values()))
-        out = (rows[hit] @ prefix).reshape((len(hit),) + shape)
+        out = _serial_product(rows[hit], prefix).reshape((len(hit),) + shape)
         first = 0
         for pauli, group in groups.items():
             last = first + len(group)
@@ -310,9 +317,30 @@ def _evolve_patterns(
                 out[first:last], _pauli_matrix(len(qubits), pauli), qubits, ()
             )
             first = last
-        rows[hit] = out.reshape(len(hit), dim) @ prefix.conj().T
+        rows[hit] = _serial_product(out.reshape(len(hit), dim), prefix.conj().T)
     frame = evolve(frame, gates[done:])
-    return (rows @ frame.reshape(dim, dim)).reshape((len(patterns),) + shape)
+    final = _serial_product(rows, frame.reshape(dim, dim))
+    return final.reshape((len(patterns),) + shape)
+
+
+def _serial_product(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat`` as one stack of equal row blocks, each product under
+    ``_SERIAL_MNK`` where the frame allows it.
+
+    Blocks hold at least two rows because NumPy hands a one-row product to
+    GEMV, which OpenBLAS threads at a smaller size still.  Zero rows pad the
+    stack when the blocks do not tile ``rows``; they are dropped from the
+    result.
+    """
+    size = len(rows)
+    most = max(2, (_SERIAL_MNK - 1) // mat.size)
+    count = -(-size // most)
+    block = max(2, -(-size // count))
+    if count * block > size:
+        pad = np.zeros((count * block - size, rows.shape[1]), dtype=rows.dtype)
+        rows = np.concatenate([rows, pad])
+    out = rows.reshape(count, block, rows.shape[1]) @ mat
+    return out.reshape(count * block, mat.shape[1])[:size]
 
 
 def _ground_batch(size: int, num_qubits: int) -> np.ndarray:

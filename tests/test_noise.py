@@ -328,6 +328,17 @@ class TestInputFrameEngine:
         hist = sample_with_noise(circ, ZERO_NOISE, 10, seed=1)
         assert set(hist) <= {"0" * 12, "1" * 12} and sum(hist.values()) == 10
 
+    @pytest.mark.parametrize("dim", [4, 64, 512])
+    @pytest.mark.parametrize("count", [1, 2, 15, 16, 17, 300])
+    def test_serial_product_equals_matmul(self, dim, count):
+        rng = np.random.default_rng(dim * 1000 + count)
+        rows = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        got = noise._serial_product(rows, mat)
+        assert got.shape == (count, dim)
+        assert np.max(np.abs(got - rows @ mat)) < 1e-12 * dim
+        assert np.max(np.abs(noise._serial_product(rows, mat.conj().T) - rows @ mat.conj().T)) < 1e-12 * dim
+
 
 _PAULI_BASIS = (
     np.eye(2),
