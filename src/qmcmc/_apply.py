@@ -18,6 +18,11 @@ import numpy as np
 
 Gate = tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]
 
+# Byte budget of one dense 2**n x 2**n complex matrix built from a circuit
+# (the noisy engine's input frame, phase estimation's circuit unitary): its
+# 16 * 4**n bytes fit for n <= 11.
+DENSE_BYTES = 64 << 20
+
 
 def apply_matrix(
     amps: np.ndarray,

@@ -7,6 +7,13 @@ stationary state and phase-estimates the qubitized walk of the reflection
 about the resulting state; measured phases convert to mean estimates through
 the cosine map, and a phase register of t bits resolves exactly those means
 whose phases are multiples of 1/2^t.
+
+Phase estimation has one route for circuit and matrix inputs: a circuit is
+first turned into its dense unitary, and the controlled powers u^(2^j) are
+dense matrices from repeated squaring, so t phase bits cost t controlled
+gates instead of 2^t - 1 controlled copies of the circuit.  ``qpe_circuit``
+builds the textbook gate-level circuit with those copies; the tests evolve it
+as the independent reference.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from math import atan2, cos, pi, sqrt
 
 import numpy as np
 
-from ._apply import evolve, marginal_probabilities
+from ._apply import DENSE_BYTES, evolve, marginal_probabilities
 from .circuit import Circuit, controlled, unitary_of
 from .config import PREP_INPUT_TOL, UNITARY_TOL
 from .spue import WalkOperator
@@ -166,8 +173,10 @@ def phase_estimation(
 ) -> PhaseEstimate:
     """Phase-estimate a unitary on a prepared input state.
 
-    Circuit inputs run gate-by-gate with repeated controlled application;
-    matrix inputs use dense controlled matrix powers (verification mode).
+    A circuit input is converted once with ``unitary_of``; its ``16 * 4**n``
+    bytes must fit in ``DENSE_BYTES``, so circuits are limited to 11 qubits.
+    Both input kinds then run t Hadamards, the dense controlled powers
+    u^(2^j) and the inverse QFT on the phase register.
     """
     if t < 1:
         raise ValueError("phase register needs at least one bit")
@@ -176,24 +185,25 @@ def phase_estimation(
     if isinstance(unitary, Circuit):
         if unitary.num_qubits != n_sys:
             raise ValueError("unitary dimension does not match input state")
-        circ, wires = qpe_circuit(unitary, t)
-        gates = circ.gates()
-        wire_index = tuple(circ.index_of(w) for w in wires)
-    else:
-        u = np.asarray(unitary, dtype=complex)
-        if u.shape != (dim, dim):
-            raise ValueError("unitary dimension does not match input state")
-        iqft = Circuit([f"ph{j}" for j in range(t)])
-        inverse_qft_ops(iqft, list(iqft.qubits))
-        gates = chain(
-            ((_H, (j,), ()) for j in range(t)),
-            _controlled_powers(u, t, tuple(range(t, t + n_sys))),
-            iqft.gates(),
-        )
-        wire_index = tuple(range(t))
+        if 16 * 4**n_sys > DENSE_BYTES:
+            raise ValueError(
+                f"phase estimation of a circuit holds its 2**n x 2**n unitary; {n_sys} "
+                f"qubits exceed its {DENSE_BYTES >> 20} MiB budget"
+            )
+        unitary = unitary_of(unitary)
+    u = np.asarray(unitary, dtype=complex)
+    if u.shape != (dim, dim):
+        raise ValueError("unitary dimension does not match input state")
+    iqft = Circuit([f"ph{j}" for j in range(t)])
+    inverse_qft_ops(iqft, list(iqft.qubits))
+    gates = chain(
+        ((_H, (j,), ()) for j in range(t)),
+        _controlled_powers(u, t, tuple(range(t, t + n_sys))),
+        iqft.gates(),
+    )
 
     final = evolve(_padded(input_state, t), gates)
-    probs = marginal_probabilities(final, wire_index, t + n_sys)[0]
+    probs = marginal_probabilities(final, tuple(range(t)), t + n_sys)[0]
     raw = sample_from_probabilities(probs, t, shots, seed)
     histogram: dict[int, int] = {}
     for bits, count in raw.items():
@@ -206,8 +216,9 @@ def _controlled_powers(u: np.ndarray, t: int, system: tuple[int, ...]):
     """u^(2^j) on the system register, controlled by phase wire j, for j < t."""
     power = u
     for j in range(t):
+        if j:
+            power = power @ power
         yield power, system, (j,)
-        power = power @ power
 
 
 def _padded(state: StateVector, extra: int) -> np.ndarray:

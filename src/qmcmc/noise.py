@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._apply import Gate, apply_matrix, apply_matrix_nd, evolve, marginal_probabilities
+from ._apply import DENSE_BYTES, Gate, apply_matrix, apply_matrix_nd, evolve, marginal_probabilities
 from .circuit import Circuit
 from .errors import SchemaError
 from .rng import ShotStreams, shot_rng
@@ -64,8 +64,6 @@ _PAULI_1Q = [_PAULI["x"], _PAULI["y"], _PAULI["z"]]
 
 # Amplitude bytes of one batch of fault patterns evolved together.
 _BATCH_BYTES = 64 << 20
-# Bytes of the 2**n x 2**n input frame of the noisy engine (n <= 11).
-_FRAME_BYTES = 64 << 20
 # OpenBLAS runs a complex GEMM on its thread pool once m * n * k reaches
 # 2**16, and a woken pool spins for about 0.1 s waiting for more work.  The
 # frame products stay below that size (see ``_serial_product``), so the noisy
@@ -226,7 +224,7 @@ def sample_with_noise(
     The all-zero model evolves one statevector and samples it with
     ``sample_from_probabilities``, so it is the noiseless sampler bit for bit.
     Any other model needs the ``16 * 4**n`` bytes of the input frame to fit
-    in ``_FRAME_BYTES``, so it is limited to 11 qubits.
+    in ``DENSE_BYTES``, so it is limited to 11 qubits.
     """
     check_shots(shots)
     measured = circuit.measured()
@@ -240,10 +238,10 @@ def sample_with_noise(
         final = evolve(_ground_batch(1, n), circuit.gates())
         probs = marginal_probabilities(final, idx, n)[0]
         return sample_from_probabilities(probs, m, shots, seed)
-    if 16 * 4**n > _FRAME_BYTES:
+    if 16 * 4**n > DENSE_BYTES:
         raise ValueError(
             f"noisy sampling holds a 2**n x 2**n frame; {n} qubits exceed "
-            f"its {_FRAME_BYTES >> 20} MiB budget"
+            f"its {DENSE_BYTES >> 20} MiB budget"
         )
 
     gates, arities, rates = _sites(circuit, model)

@@ -1,21 +1,33 @@
+from math import pi
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmcmc.algorithms as algorithms
+from qmcmc._apply import evolve, marginal_probabilities
 from qmcmc.algorithms import (
     FunctionOracle,
     mean_estimate_from_phase,
     phase_estimation,
     prepare_stationary,
     qae_mean,
+    qpe_circuit,
     reflection_walk_circuit,
     state_prep_circuit,
 )
 from qmcmc.circuit import Circuit, unitary_of
+from qmcmc.errors import NotUnitary
 from qmcmc.markov import two_state_kernel
-from qmcmc.spue import lcu_walk, szegedy_walk, two_state_row_prep
-from qmcmc.statevector import basis_state, from_amplitudes, statevector_of, zero_state
+from qmcmc.spue import dual_walk, lcu_walk, szegedy_walk, two_state_row_prep
+from qmcmc.statevector import (
+    basis_state,
+    from_amplitudes,
+    sample_from_probabilities,
+    statevector_of,
+    zero_state,
+)
 
 from conftest import qpe_point_mass_distribution, random_reversible_kernel
 
@@ -93,12 +105,37 @@ class TestPhaseEstimation:
         pe = phase_estimation(walk.circuit, embedded, t=2, shots=128, seed=1)
         assert pe.histogram == {0: 128}
 
-    def test_circuit_and_matrix_paths_agree(self):
-        walk = lcu_walk(0.25)
-        state = zero_state(2)
-        a = phase_estimation(walk.circuit, state, t=2, shots=500, seed=9)
-        b = phase_estimation(walk.total, state, t=2, shots=500, seed=9)
-        assert a.histogram == b.histogram
+    @pytest.mark.parametrize(
+        "case, t",
+        [("dual-eigenstate", 3), ("dual-eigenstate", 8), ("lcu-zero", 4)],
+    )
+    def test_matches_gate_level_oracle(self, case, t):
+        if case == "dual-eigenstate":
+            walk, eigenstate_prep = dual_walk(pi / 4)
+            circuit, state = walk.circuit, statevector_of(eigenstate_prep)
+        else:
+            circuit, state = lcu_walk(0.25).circuit, zero_state(2)
+        pe = phase_estimation(circuit, state, t, shots=2000, seed=9)
+        expected = _gate_level_qpe(circuit, state, t, shots=2000, seed=9)
+        assert pe.histogram == expected
+        if case == "lcu-zero":
+            assert len(expected) > 2  # a non-eigenstate input spreads over several k
+
+    def test_wide_circuit_rejected_before_evolution(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("evolution started")
+
+        monkeypatch.setattr(algorithms, "unitary_of", unreachable)
+        monkeypatch.setattr(algorithms, "evolve", unreachable)
+        circ = Circuit([f"q{i}" for i in range(12)]).h("q0")
+        with pytest.raises(ValueError, match="12 qubits exceed its 64 MiB budget"):
+            phase_estimation(circ, zero_state(12), t=1, shots=10, seed=0)
+
+    def test_measured_circuit_is_not_unitary(self):
+        circ = Circuit(["a", "b"]).h("a").cx("a", "b")
+        circ.measure("a")
+        with pytest.raises(NotUnitary):
+            phase_estimation(circ, zero_state(2), t=2, shots=10, seed=0)
 
     @pytest.mark.parametrize("n_state", [2, 4])
     def test_width_mismatch_rejected_for_both_inputs(self, n_state):
@@ -167,6 +204,23 @@ class TestQaeMean:
         hist = qae_mean(pi_state, oracle, t=2, shots=300, seed=4)
         assert hist == {0.5: 300}
 
+    def test_matches_gate_level_oracle(self):
+        values, probs = [0.2, 0.78], np.array([0.3, 0.7])  # mean 0.606, off the 4-bit grid
+        oracle = FunctionOracle.from_table(values)
+        pi_state = from_amplitudes(np.sqrt(probs))
+        hist = qae_mean(pi_state, oracle, t=4, shots=3000, seed=6)
+        prep = Circuit(["x0", "f"])
+        prep.extend(state_prep_circuit(probs, ["x0"]).ops)
+        prep.extend(oracle.circuit.ops)
+        walk = reflection_walk_circuit(prep.freeze(), "f")
+        entangled = from_amplitudes(oracle.matrix() @ np.kron(pi_state.amps, [1.0, 0.0]))
+        expected: dict[float, int] = {}
+        for k, count in _gate_level_qpe(walk, entangled, 4, shots=3000, seed=6).items():
+            est = mean_estimate_from_phase(k, 4)
+            expected[est] = expected.get(est, 0) + count
+        assert hist == expected
+        assert len(expected) > 1
+
     @pytest.mark.parametrize("shots", [2.5, float("nan"), True], ids=repr)
     def test_non_integral_shots_rejected(self, shots):
         oracle = FunctionOracle.from_table([0.0, 1.0])
@@ -189,3 +243,16 @@ class TestQaeMean:
         u_r = 2 * np.outer(psi, psi.conj()) - np.eye(4)
         z_f = np.diag([1.0, -1.0, 1.0, -1.0])
         assert np.max(np.abs(unitary_of(walk) - z_f @ u_r)) < 1e-10
+
+
+def _gate_level_qpe(walk_circuit: Circuit, state, t: int, shots: int, seed: int) -> dict[int, int]:
+    """Phase histogram of the textbook circuit, evolved gate by gate: t phase
+    wires, 2^t - 1 controlled copies of the walk and the inverse QFT."""
+    circ, wires = qpe_circuit(walk_circuit, t)
+    amps = np.zeros(2**t * state.dim, dtype=complex)
+    amps[: state.dim] = state.amps  # phase wires lead the register, all |0>
+    final = evolve(amps.reshape((1,) + (2,) * circ.num_qubits), circ.gates())
+    wire_index = tuple(circ.index_of(w) for w in wires)
+    probs = marginal_probabilities(final, wire_index, circ.num_qubits)[0]
+    raw = sample_from_probabilities(probs, t, shots, seed)
+    return {int(bits, 2): count for bits, count in raw.items()}
