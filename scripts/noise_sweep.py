@@ -3,7 +3,9 @@
 
 Runs the controlled-swap preparation (phase-0 success rate) and the
 pair-space overlap experiment (zero-outcome rate) over a grid of p2 values
-with trajectory noise attached to the transpiled native gates.
+with trajectory noise attached to the transpiled native gates.  The p2 = 0
+row is the noise-free baseline: it runs with no noise model, not with the
+single-qubit and readout rates alone.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ def main() -> None:
 
     print(f"{'p2':>10} {'cswap phase-0 rate':>20} {'overlap estimate':>18}")
     for p2 in args.p2_grid:
-        noise = None
-        if any(rate > 0 for rate in (args.p1, p2, args.p_meas)):
-            noise = NoiseModel(p1=args.p1, p2=p2, p_meas=args.p_meas)
+        noise = NoiseModel(p1=args.p1, p2=p2, p_meas=args.p_meas) if p2 > 0 else None
         cswap = run(
             ExperimentSpec("cswap-state-prep", shots=args.shots, seed=args.seed, noise=noise)
         )
