@@ -183,12 +183,10 @@ def phase_estimation(
     n_sys = input_state.num_qubits
     dim = input_state.dim
     if isinstance(unitary, Circuit):
-        if unitary.num_qubits != n_sys:
-            raise ValueError("unitary dimension does not match input state")
-        if 16 * 4**n_sys > DENSE_BYTES:
+        if 16 * 4**unitary.num_qubits > DENSE_BYTES:
             raise ValueError(
-                f"phase estimation of a circuit holds its 2**n x 2**n unitary; {n_sys} "
-                f"qubits exceed its {DENSE_BYTES >> 20} MiB budget"
+                f"phase estimation of a circuit holds its 2**n x 2**n unitary; "
+                f"{unitary.num_qubits} qubits exceed its {DENSE_BYTES >> 20} MiB budget"
             )
         unitary = unitary_of(unitary)
     u = np.asarray(unitary, dtype=complex)
