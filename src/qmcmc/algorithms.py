@@ -203,11 +203,8 @@ def phase_estimation(
     final = evolve(_padded(input_state, t), gates)
     probs = marginal_probabilities(final, tuple(range(t)), t + n_sys)[0]
     raw = sample_from_probabilities(probs, t, shots, seed)
-    histogram: dict[int, int] = {}
-    for bits, count in raw.items():
-        k = sum(int(b) << (t - 1 - j) for j, b in enumerate(bits))
-        histogram[k] = histogram.get(k, 0) + count
-    return PhaseEstimate(t, histogram)
+    # Phase wire 0 carries the most significant bit of k.
+    return PhaseEstimate(t, {int(bits, 2): count for bits, count in raw.items()})
 
 
 def _controlled_powers(u: np.ndarray, t: int, system: tuple[int, ...]):
