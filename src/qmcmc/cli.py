@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     except QmcmcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, MemoryError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

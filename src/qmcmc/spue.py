@@ -15,8 +15,8 @@ Metropolis-Hastings process on directed edges.
 
 Isometries are represented canonically as explicit matrices for dense
 verification; the shipped encodings additionally carry circuit realizations
-for shot-based experiments, and both representations are checked against
-each other at construction time.
+for shot-based experiments.  Every constructor checks its encoded operator
+against its kernel, and circuits meet matrices only in ``walk_operator``.
 """
 
 from __future__ import annotations
@@ -46,15 +46,13 @@ class PartialIsometry:
     """Embedding of an n-dimensional source space into a qubit register space.
 
     ``matrix`` has orthonormal columns (2^q x n).  When a circuit realization
-    exists, column j equals prep_circuit applied to basis state
-    ``embed_indices[j]``; ``zero_qubits`` names the registers whose |0> state
-    defines the embedded subspace before prep, which is what reflection
-    circuits are built from.
+    exists, ``zero_qubits`` names the registers whose |0> state defines the
+    embedded subspace before ``prep_circuit``; ``walk_operator`` builds the
+    reflection circuit from them and checks it against ``matrix``.
     """
 
     matrix: np.ndarray
     prep_circuit: Circuit | None = None
-    embed_indices: tuple[int, ...] | None = None
     zero_qubits: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -66,15 +64,6 @@ class PartialIsometry:
         if err > UNITARY_TOL:
             raise ValueError(f"isometry columns not orthonormal (deviation {err:.3e})")
         object.__setattr__(self, "matrix", m)
-        if self.prep_circuit is not None:
-            if self.embed_indices is None:
-                raise ValueError("circuit realization requires embed_indices")
-            realized = unitary_of(self.prep_circuit)[:, list(self.embed_indices)]
-            dev = float(np.max(np.abs(realized - m)))
-            if dev > UNITARY_TOL:
-                raise ValueError(
-                    f"isometry circuit disagrees with matrix by {dev:.3e}"
-                )
 
     @property
     def source_dim(self) -> int:
@@ -106,10 +95,6 @@ class Spue:
         if err > UNITARY_TOL:
             raise NotUnitary(f"encoding unitary deviates from unitarity by {err:.3e}")
         object.__setattr__(self, "unitary", u)
-        if self.circuit is not None:
-            dev = float(np.max(np.abs(unitary_of(self.circuit) - u)))
-            if dev > UNITARY_TOL:
-                raise ValueError(f"unitary circuit disagrees with matrix by {dev:.3e}")
         if float(np.max(np.abs(u - u.T))) > SYMMETRY_TOL:
             warnings.warn(
                 f"encoding unitary {self.name or '<anonymous>'} is not symmetric; "
@@ -152,8 +137,21 @@ def encoded_operator(spue: Spue) -> np.ndarray:
     return a
 
 
+def _check_encodes(spue: Spue, kernel: np.ndarray) -> Spue:
+    """Return ``spue``; raise ConstructionInvalid unless E^dag U E is ``kernel``."""
+    dev = float(np.max(np.abs(encoded_operator(spue) - kernel)))
+    if dev > SPECTRUM_TOL:
+        raise ConstructionInvalid(f"{spue.name} encoded operator is {dev:.3e} from its kernel")
+    return spue
+
+
+def _flip_chain(delta: float) -> np.ndarray:
+    """(1 - d) I + d X, the two-state kernel, for every d in [0, 1]."""
+    return np.array([[1 - delta, delta], [delta, 1 - delta]])
+
+
 def walk_operator(spue: Spue) -> WalkOperator:
-    """Qubitized walk W = (2 E E^dag - 1) U, with circuits when available."""
+    """Qubitized walk W = (2 E E^dag - 1) U, with a circuit checked against W when available."""
     refl = 2.0 * spue.isometry.projector() - np.eye(spue.isometry.space_dim)
     total = refl @ spue.unitary
     circuit = None
@@ -314,8 +312,8 @@ def lcu_encoding(delta: float) -> Spue:
     iso_matrix = np.zeros((4, 2), dtype=complex)
     iso_matrix[0, 0] = iso_matrix[1, 1] = 1.0
     prep = Circuit(["a", "x"]).freeze()
-    iso = PartialIsometry(iso_matrix, prep, (0, 1), ("a",))
-    return Spue(u, iso, circ, name=f"lcu(delta={delta})")
+    iso = PartialIsometry(iso_matrix, prep, ("a",))
+    return _check_encodes(Spue(u, iso, circ, name=f"lcu(delta={delta})"), _flip_chain(delta))
 
 
 def lcu_walk(delta: float) -> WalkOperator:
@@ -350,7 +348,7 @@ def szegedy_encoding(kernel: MarkovKernel, pi: Distribution | None = None) -> Sp
     """
     if pi is None:
         pi = stationary(kernel)
-    discriminant(kernel, pi)  # raises NotReversible if broken
+    expected = discriminant(kernel, pi)  # raises NotReversible if broken
     n = kernel.n
     q = max(1, int(np.ceil(np.log2(n))))
     dim = 4**q
@@ -365,15 +363,13 @@ def szegedy_encoding(kernel: MarkovKernel, pi: Distribution | None = None) -> Sp
 
     circuit = None
     prep = None
-    embed = None
     zero_qubits: tuple[str, ...] = ()
     if n == 2:
         prep = two_state_row_prep(kernel)
-        embed = (0, 2)
         zero_qubits = ("y",)
         circuit = Circuit(["x", "y"]).swap("x", "y").freeze()
-    iso = PartialIsometry(iso_matrix, prep, embed, zero_qubits)
-    return Spue(u, iso, circuit, name=f"szegedy(n={n})")
+    iso = PartialIsometry(iso_matrix, prep, zero_qubits)
+    return _check_encodes(Spue(u, iso, circuit, name=f"szegedy(n={n})"), expected)
 
 
 def szegedy_walk(kernel: MarkovKernel, pi: Distribution | None = None) -> WalkOperator:
@@ -401,8 +397,9 @@ def cswap_encoding(proposal: MarkovKernel, acceptance_angle: float) -> Spue:
     prep.ry(-2 * acceptance_angle, "c")
     prep.freeze()
     iso_matrix = unitary_of(prep)[:, [0, 4]]
-    iso = PartialIsometry(iso_matrix, prep, (0, 4), ("y", "c"))
-    return Spue(u, iso, circ, name=f"cswap(theta={acceptance_angle})")
+    iso = PartialIsometry(iso_matrix, prep, ("y", "c"))
+    spue = Spue(u, iso, circ, name=f"cswap(theta={acceptance_angle})")
+    return _check_encodes(spue, _flip_chain(sin(acceptance_angle) ** 2))
 
 
 def cswap_walk(proposal: MarkovKernel, acceptance_angle: float) -> WalkOperator:
@@ -454,22 +451,15 @@ def dual_walk(acceptance_angle: float) -> tuple[WalkOperator, Circuit]:
     prep.cx("it", "c").cx("ot", "c")
     prep.freeze()
 
-    embed = tuple(_edge_embed_index(e >> 1, e & 1) for e in range(_EDGE_COUNT))
-    iso_matrix = unitary_of(prep)[:, list(embed)]
-    iso = PartialIsometry(iso_matrix, prep, embed, ("s", "it", "ih", "c"))
+    embed = [_edge_embed_index(e >> 1, e & 1) for e in range(_EDGE_COUNT)]
+    iso_matrix = unitary_of(prep)[:, embed]
+    iso = PartialIsometry(iso_matrix, prep, ("s", "it", "ih", "c"))
     spue = Spue(u, iso, u_circ, name=f"dual(theta={theta})")
-    walk = walk_operator(spue)
 
-    # Build-time self-test: the encoded operator must be the lazy reversal
-    # kernel and the uniform proper-edge state must be fixed by the walk.
-    rev = np.zeros((4, 4))
-    for e in range(4):
-        tail, head = e >> 1, e & 1
-        rev[(head << 1) | tail, e] = 1.0
-    expected = (1 - delta) * np.eye(4) + delta * rev
-    a = encoded_operator(spue)
-    if float(np.max(np.abs(a - expected))) > SPECTRUM_TOL:
-        raise ConstructionInvalid("pair-space encoding does not match the edge kernel")
+    # The encoded operator must be the lazy reversal kernel on edges, and the
+    # uniform proper-edge state must be fixed by the walk.
+    reversal = np.eye(_EDGE_COUNT)[[0b00, 0b10, 0b01, 0b11]]
+    walk = walk_operator(_check_encodes(spue, (1 - delta) * np.eye(_EDGE_COUNT) + delta * reversal))
     v_proper = np.zeros(4)
     v_proper[0b01] = v_proper[0b10] = 1 / sqrt(2)
     fixed = iso_matrix @ v_proper

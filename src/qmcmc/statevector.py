@@ -169,9 +169,11 @@ def sample_from_probabilities(
 
 
 def check_shots(shots) -> None:
-    """Raise ``ValueError`` unless ``shots`` is an integral, non-``bool`` count >= 1."""
+    """Raise ``ValueError`` unless ``shots`` is an integral, non-``bool`` count in [1, 2**64]."""
     if not isinstance(shots, Integral) or isinstance(shots, bool) or shots < 1:
         raise ValueError(f"shots must be an int >= 1, not {shots!r}")
+    if shots > 2**64:  # ShotStreams seats shot indices below 2**64
+        raise ValueError(f"shots must be at most 2**64 (one shot stream each), not {shots}")
 
 
 def invert_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -101,6 +101,20 @@ def test_run_malformed_noise_file_exits_2(tmp_path, capsys, content):
     assert "noise model" in capsys.readouterr().err
 
 
+def test_run_more_shots_than_streams_names_the_limit(capsys):
+    assert main(["run", "--experiment", "lcu-state-prep", "--shots", str(2**64 + 1)]) == 2
+    assert "at most 2**64" in capsys.readouterr().err
+
+
+def test_run_out_of_memory_is_usage_error(monkeypatch, capsys):
+    def run(spec):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr("qmcmc.experiments.run", run)
+    assert main(["run", "--experiment", "lcu-state-prep", "--shots", "1099511627776"]) == 2
+    assert "usage error: Unable to allocate" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--experiment", "not-a-thing"])

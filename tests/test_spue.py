@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmcmc.circuit import Circuit, unitary_of
-from qmcmc.errors import NotReversible, Unsupported
+from qmcmc.errors import NotReversible, QmcmcError, Unsupported
 from qmcmc.markov import Distribution, MarkovKernel, discriminant, stationary, two_state_kernel
 from qmcmc.spue import (
     DUAL_QUBITS,
@@ -193,6 +195,61 @@ class TestDualWalk:
     def test_angle_domain(self):
         with pytest.raises(ValueError):
             dual_walk(0.0)
+
+
+WALK_BUILDS = {
+    "lcu": lambda: lcu_walk(0.25),
+    "szegedy": lambda: szegedy_walk(two_state_kernel(0.25)),
+    "cswap": lambda: cswap_walk(FLIP, np.pi / 6),
+    "dual": lambda: dual_walk(np.pi / 4)[0],
+}
+APPENDED_GATES = {
+    "x": lambda circ, q: circ.x(q),
+    "rz(0.3)": lambda circ, q: circ.rz(0.3, q),
+    "h": lambda circ, q: circ.h(q),
+}
+
+
+class TestBuildChecks:
+    @pytest.mark.filterwarnings("ignore:encoding unitary")
+    @pytest.mark.parametrize("name", sorted(WALK_BUILDS))
+    def test_appended_gate_raises_or_keeps_encoded_operator(self, monkeypatch, name):
+        # One gate is appended to one circuit the walk freezes, for every
+        # circuit, qubit and gate in turn; a build that succeeds must still
+        # encode the same operator.
+        build = WALK_BUILDS[name]
+        expected = encoded_operator(build().spue)
+        freeze = Circuit.freeze
+        frozen = []
+        with monkeypatch.context() as m:
+            m.setattr(Circuit, "freeze", lambda self: frozen.append(self.qubits) or freeze(self))
+            build()
+        silent = []
+        for k, qubits in enumerate(frozen):
+            for q, (label, append) in itertools.product(qubits, APPENDED_GATES.items()):
+                count = itertools.count()
+
+                def freeze_with_gate(self):
+                    if next(count) == k:
+                        append(self, q)
+                    return freeze(self)
+
+                with monkeypatch.context() as m:
+                    m.setattr(Circuit, "freeze", freeze_with_gate)
+                    try:
+                        walk = build()
+                    except (QmcmcError, ValueError):
+                        continue
+                if np.max(np.abs(encoded_operator(walk.spue) - expected)) > 1e-9:
+                    silent.append(f"circuit {k} + {label} on {q}")
+        assert not silent, silent
+
+    @pytest.mark.parametrize("name, builds", [("lcu", 2), ("szegedy", 1), ("cswap", 3), ("dual", 4)])
+    def test_each_circuit_is_built_once(self, monkeypatch, name, builds):
+        calls = []
+        monkeypatch.setattr("qmcmc.spue.unitary_of", lambda c: calls.append(c) or unitary_of(c))
+        WALK_BUILDS[name]()
+        assert len(calls) == builds
 
 
 @settings(max_examples=50, deadline=None)

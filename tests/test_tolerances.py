@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from qmcmc.circuit import GateApplication
-from qmcmc.errors import NotReversible, NotUnitary, PostSelectImpossible
+from qmcmc.errors import ConstructionInvalid, NotReversible, NotUnitary, PostSelectImpossible
 from qmcmc.markov import Distribution, MarkovKernel, discriminant
-from qmcmc.spue import PartialIsometry
+from qmcmc.spue import PartialIsometry, Spue, _check_encodes
 from qmcmc.statevector import StateVector, post_select
 
 INSIDE, OUTSIDE = 0.25, 10.0
@@ -57,6 +57,12 @@ def _isometry_columns(dev):
     PartialIsometry(np.array([[np.sqrt(1 + dev)], [0.0]]))
 
 
+def _encoded_kernel(dev):
+    # The identity encoding of a one-state space, against the kernel [[1 + dev]].
+    spue = Spue(np.eye(2), PartialIsometry(np.eye(2)[:, :1]))
+    _check_encodes(spue, np.array([[1.0 + dev]]))
+
+
 CHECKS = [
     ("kernel-row-sum", _kernel_rows, INSIDE * 1e-12, OUTSIDE * 1e-12, ValueError),
     ("distribution-sum", _distribution_sum, INSIDE * 1e-12, OUTSIDE * 1e-12, ValueError),
@@ -65,6 +71,7 @@ CHECKS = [
     ("post-select-cutoff", _post_select, 1e-12 / INSIDE, 1e-12 / OUTSIDE, PostSelectImpossible),
     ("gate-unitarity", _gate_unitarity, INSIDE * 1e-10, OUTSIDE * 1e-10, NotUnitary),
     ("isometry-orthonormality", _isometry_columns, INSIDE * 1e-10, OUTSIDE * 1e-10, ValueError),
+    ("encoded-kernel", _encoded_kernel, INSIDE * 1e-9, OUTSIDE * 1e-9, ConstructionInvalid),
 ]
 
 
