@@ -8,10 +8,19 @@ q + 1 is qubit q.  ``apply_matrix`` is the entry for one flat state of shape
 ``(2**n,)``, ``apply_matrix_nd`` the entry for a batch, and ``evolve`` runs a
 batch through a sequence of ``(matrix, targets, controls)`` gates such as
 ``Circuit.gates()``.  No entry mutates its input.
+
+A gate's layout work is planned once per register shape and reused: the axis
+permutation that brings the targets last (and its inverse) is cached on
+``(ndim, targets)``, and a controlled gate's selector of the all-ones control
+slice, with its targets renumbered inside that slice, on
+``(n, targets, controls)``.  Each call then costs one transpose, one reshape
+and the ``flat @ mat.T`` product, on the same layout as ``np.moveaxis``
+would give, so amplitudes do not depend on whether a plan was cached.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -60,28 +69,39 @@ def _apply(
     if not controls:
         # No in-place writes happen on this path, so a view suffices.
         return _apply_to_block(arr, mat, targets)
-    n = arr.ndim - 1
+    sel, sub_targets = _control_plan(arr.ndim - 1, targets, controls)
     out = arr.copy()
-    sel = [slice(None)] * (n + 1)
-    for c in controls:
-        sel[c + 1] = 1
-    sel = tuple(sel)
-    # Control axes are dropped in the sliced view; remap target positions.
-    remaining = [q for q in range(n) if q not in controls]
-    sub_targets = tuple(remaining.index(t) for t in targets)
     out[sel] = _apply_to_block(out[sel], mat, sub_targets)
     return out
 
 
 def _apply_to_block(block: np.ndarray, mat: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    k = len(targets)
-    src = [t + 1 for t in targets]
-    dst = list(range(block.ndim - k, block.ndim))
-    moved = np.moveaxis(block, src, dst)
-    moved_shape = moved.shape
-    flat = moved.reshape(-1, 2**k)
-    out = flat @ mat.T
-    return np.moveaxis(out.reshape(moved_shape), dst, src)
+    forward, inverse = _block_plan(block.ndim, targets)
+    moved = block.transpose(forward)
+    out = moved.reshape(-1, mat.shape[0]) @ mat.T
+    return out.reshape(moved.shape).transpose(inverse)
+
+
+@lru_cache(maxsize=1024)
+def _block_plan(ndim: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order with the target axes last, in target order, and its inverse."""
+    src = tuple(t + 1 for t in targets)
+    forward = tuple(ax for ax in range(ndim) if ax not in src) + src
+    inverse = tuple(forward.index(ax) for ax in range(ndim))
+    return forward, inverse
+
+
+@lru_cache(maxsize=1024)
+def _control_plan(
+    n: int, targets: tuple[int, ...], controls: tuple[int, ...]
+) -> tuple[tuple, tuple[int, ...]]:
+    """Selector of the all-ones control slice and the targets' axes inside it."""
+    sel = [slice(None)] * (n + 1)
+    for c in controls:
+        sel[c + 1] = 1
+    # Control axes are dropped in the sliced view; remap target positions.
+    remaining = [q for q in range(n) if q not in controls]
+    return tuple(sel), tuple(remaining.index(t) for t in targets)
 
 
 def marginal_probabilities(

@@ -9,24 +9,26 @@ the cosine map, and a phase register of t bits resolves exactly those means
 whose phases are multiples of 1/2^t.
 
 Phase estimation has one route for circuit and matrix inputs: a circuit is
-first turned into its dense unitary, and the controlled powers u^(2^j) are
-dense matrices from repeated squaring, so t phase bits cost t controlled
-gates instead of 2^t - 1 controlled copies of the circuit.  ``qpe_circuit``
-builds the textbook gate-level circuit with those copies; the tests evolve it
-as the independent reference.
+first turned into its dense unitary u.  The 2^t rows u^m psi, m < 2^t, come
+from doubling with the powers u^(2^j) of repeated squaring, and the inverse
+QFT of sum_m |m> u^m psi is a DFT over m, so the phase law is one FFT down
+the rows; no gate touches the 2^(t+n) register.  ``qpe_circuit`` builds the
+textbook gate-level circuit with 2^t - 1 controlled copies of the walk; the
+tests evolve it as the independent reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import atan2, cos, pi, sqrt
+from numbers import Integral
 
 import numpy as np
 
-from ._apply import DENSE_BYTES, evolve, marginal_probabilities
+from ._apply import DENSE_BYTES, evolve
 from .circuit import Circuit, controlled, unitary_of
 from .config import PREP_INPUT_TOL, UNITARY_TOL
+from .errors import NotUnitary
 from .spue import WalkOperator
 from .statevector import (
     StateVector,
@@ -175,45 +177,54 @@ def phase_estimation(
 
     A circuit input is converted once with ``unitary_of``; its ``16 * 4**n``
     bytes must fit in ``DENSE_BYTES``, so circuits are limited to 11 qubits.
-    Both input kinds then run t Hadamards, the dense controlled powers
-    u^(2^j) and the inverse QFT on the phase register.
+    A matrix input must be unitary within ``UNITARY_TOL``.  Row m of a
+    ``(2**t, dim)`` array holds u^m psi, built by doubling: rows 2^j to
+    2^(j+1) - 1 are rows 0 to 2^j - 1 times u^(2^j).  The inverse QFT of
+    sum_m |m> u^m psi is a DFT over m, so k reads with probability
+    ``sum_d |fft(rows, axis=0)[k, d]|**2 / 4**t``, the law of the textbook
+    circuit with phase wire 0 as the most significant bit of k.  The rows'
+    ``16 * 2**t * dim`` bytes must fit in ``DENSE_BYTES`` too.
     """
-    if t < 1:
-        raise ValueError("phase register needs at least one bit")
-    n_sys = input_state.num_qubits
     dim = input_state.dim
+    _check_phase_register(t, dim)
     if isinstance(unitary, Circuit):
         if 16 * 4**unitary.num_qubits > DENSE_BYTES:
             raise ValueError(
                 f"phase estimation of a circuit holds its 2**n x 2**n unitary; "
                 f"{unitary.num_qubits} qubits exceed its {DENSE_BYTES >> 20} MiB budget"
             )
-        unitary = unitary_of(unitary)
-    u = np.asarray(unitary, dtype=complex)
+        u = unitary_of(unitary)
+    else:
+        u = np.asarray(unitary, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError("unitary dimension does not match input state")
-    iqft = Circuit([f"ph{j}" for j in range(t)])
-    inverse_qft_ops(iqft, list(iqft.qubits))
-    gates = chain(
-        ((_H, (j,), ()) for j in range(t)),
-        _controlled_powers(u, t, tuple(range(t, t + n_sys))),
-        iqft.gates(),
-    )
-
-    final = evolve(_padded(input_state, t), gates)
-    probs = marginal_probabilities(final, tuple(range(t)), t + n_sys)[0]
+    if not isinstance(unitary, Circuit):  # circuits are unitary by construction
+        err = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+        if not err <= UNITARY_TOL:
+            raise NotUnitary(f"matrix deviates from unitarity by {err:.3e}")
+    rows = np.empty((2**t, dim), dtype=complex)
+    rows[0] = input_state.amps
+    power = u
+    for j in range(t):
+        if j:
+            power = power @ power
+        rows[2**j : 2 ** (j + 1)] = rows[: 2**j] @ power.T
+    # np.fft is loaded on first use, so importing the package does not load it.
+    probs = np.sum(np.abs(np.fft.fft(rows, axis=0)) ** 2, axis=1) / 4**t
     raw = sample_from_probabilities(probs, t, shots, seed)
     # Phase wire 0 carries the most significant bit of k.
     return PhaseEstimate(t, {int(bits, 2): count for bits, count in raw.items()})
 
 
-def _controlled_powers(u: np.ndarray, t: int, system: tuple[int, ...]):
-    """u^(2^j) on the system register, controlled by phase wire j, for j < t."""
-    power = u
-    for j in range(t):
-        if j:
-            power = power @ power
-        yield power, system, (j,)
+def _check_phase_register(t, dim: int) -> None:
+    """Raise ``ValueError`` unless ``t`` is an int >= 1 whose ``(2**t, dim)`` rows fit the budget."""
+    if not isinstance(t, Integral) or isinstance(t, bool) or t < 1:
+        raise ValueError(f"phase register needs an int number of bits >= 1, not {t!r}")
+    if 16 * 2 ** int(t) * dim > DENSE_BYTES:
+        raise ValueError(
+            f"phase estimation holds 2**t rows of {dim} amplitudes; t = {t} exceeds its "
+            f"{DENSE_BYTES >> 20} MiB budget"
+        )
 
 
 def _padded(state: StateVector, extra: int) -> np.ndarray:
@@ -282,10 +293,9 @@ def qae_mean(
     probabilities, so the input must have nonnegative real amplitudes (true
     for every coherent distribution encoding).
     """
-    if t < 1:
-        raise ValueError("phase register needs at least one bit")
     if pi_state.num_qubits != oracle.num_state_qubits:
         raise ValueError("state register size does not match oracle")
+    _check_phase_register(t, 2 * pi_state.dim)  # the walk adds the flag qubit
     if float(np.max(np.abs(pi_state.amps.imag))) > PREP_INPUT_TOL or np.any(
         pi_state.amps.real < -PREP_INPUT_TOL
     ):

@@ -36,6 +36,35 @@ def phases_equal_up_to_global(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -
     return bool(np.allclose(u, phase * v, atol=tol, rtol=0))
 
 
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random unitary: QR of a complex Gaussian, column phases fixed by R's diagonal."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def moveaxis_apply(
+    arr: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], controls: tuple[int, ...]
+) -> np.ndarray:
+    """Reference gate application on a batch-first array that works out the
+    target layout with ``np.moveaxis`` on every call; the kernel's cached
+    layout plans must match it byte for byte."""
+    if controls:
+        n = arr.ndim - 1
+        out = arr.copy()
+        # Axis 0 is the batch (q = -1); axis q + 1 is qubit q.
+        sel = tuple(1 if q in controls else slice(None) for q in range(-1, n))
+        remaining = [q for q in range(n) if q not in controls]
+        sub_targets = tuple(remaining.index(t) for t in targets)
+        out[sel] = moveaxis_apply(out[sel], mat, sub_targets, ())
+        return out
+    src = [t + 1 for t in targets]
+    dst = list(range(arr.ndim - len(targets), arr.ndim))
+    moved = np.moveaxis(arr, src, dst)
+    applied = moved.reshape(-1, mat.shape[0]) @ mat.T
+    return np.moveaxis(applied.reshape(moved.shape), dst, src)
+
+
 def qpe_point_mass_distribution(phase: float, t: int) -> np.ndarray:
     """Exact QPE outcome law for one eigenphase: squared Dirichlet kernel."""
     n = 2**t

@@ -29,7 +29,7 @@ from qmcmc.statevector import (
     zero_state,
 )
 
-from conftest import qpe_point_mass_distribution, random_reversible_kernel
+from conftest import haar_unitary, qpe_point_mass_distribution, random_reversible_kernel
 
 
 class TestFunctionOracle:
@@ -107,19 +107,31 @@ class TestPhaseEstimation:
 
     @pytest.mark.parametrize(
         "case, t",
-        [("dual-eigenstate", 3), ("dual-eigenstate", 8), ("lcu-zero", 4)],
+        [("dual-eigenstate", 3), ("dual-eigenstate", 8), ("lcu-zero", 4)]
+        + [(f"haar-{n}q", t) for n in (1, 3) for t in (1, 2, 5)],
     )
     def test_matches_gate_level_oracle(self, case, t):
+        unitary = None
         if case == "dual-eigenstate":
             walk, eigenstate_prep = dual_walk(pi / 4)
             circuit, state = walk.circuit, statevector_of(eigenstate_prep)
-        else:
+        elif case == "lcu-zero":
             circuit, state = lcu_walk(0.25).circuit, zero_state(2)
-        pe = phase_estimation(circuit, state, t, shots=2000, seed=9)
+        else:  # a seeded Haar unitary, estimated as a matrix on a random input
+            n = 1 if case == "haar-1q" else 3
+            rng = np.random.default_rng(31 + n)
+            unitary = haar_unitary(rng, 2**n)
+            qubits = [f"q{i}" for i in range(n)]
+            circuit = Circuit(qubits).unitary(unitary, qubits).freeze()
+            amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            state = from_amplitudes(amps / np.linalg.norm(amps))
+        pe = phase_estimation(circuit if unitary is None else unitary, state, t, shots=2000, seed=9)
         expected = _gate_level_qpe(circuit, state, t, shots=2000, seed=9)
         assert pe.histogram == expected
         if case == "lcu-zero":
             assert len(expected) > 2  # a non-eigenstate input spreads over several k
+        if unitary is not None:
+            assert len(expected) > 1
 
     def test_wide_circuit_rejected_before_evolution(self, monkeypatch):
         def unreachable(*args):
@@ -136,6 +148,30 @@ class TestPhaseEstimation:
         circ.measure("a")
         with pytest.raises(NotUnitary):
             phase_estimation(circ, zero_state(2), t=2, shots=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.zeros((2, 2)), np.diag([2.0, 1.0]), np.diag([1.0, 1.0 + 1e-6])],
+        ids=["zero", "stretch", "near-unitary"],
+    )
+    def test_non_unitary_matrix_rejected(self, matrix):
+        with pytest.raises(NotUnitary, match="deviates from unitarity"):
+            phase_estimation(matrix, basis_state(1, 0), t=2, shots=100, seed=0)
+
+    @pytest.mark.parametrize("t", [2.0, True, 0, -1, "3", None], ids=repr)
+    def test_non_integral_t_rejected(self, t):
+        with pytest.raises(ValueError, match="phase register needs an int number of bits >= 1"):
+            phase_estimation(np.eye(2), basis_state(1, 0), t, shots=10, seed=0)
+
+    def test_register_budget_checked_before_allocation(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("allocation started")
+
+        monkeypatch.setattr(algorithms, "unitary_of", unreachable)
+        monkeypatch.setattr(np, "empty", unreachable)
+        # 16 B * 2**22 rows * 2 amplitudes = 128 MiB
+        with pytest.raises(ValueError, match="t = 22 exceeds its 64 MiB budget"):
+            phase_estimation(Circuit(["q"]).z("q"), basis_state(1, 0), 22, shots=10, seed=0)
 
     @pytest.mark.parametrize("n_state", [2, 4])
     def test_width_mismatch_rejected_for_both_inputs(self, n_state):
@@ -227,6 +263,26 @@ class TestQaeMean:
         pi_state = from_amplitudes(np.full(2, 1 / np.sqrt(2)))
         with pytest.raises(ValueError, match="shots must be an int >= 1"):
             qae_mean(pi_state, oracle, t=2, shots=shots, seed=2)
+
+    @pytest.mark.parametrize("t", [2.0, True, 0], ids=repr)
+    def test_non_integral_t_rejected(self, t):
+        oracle = FunctionOracle.from_table([0.0, 1.0])
+        pi_state = from_amplitudes(np.full(2, 1 / np.sqrt(2)))
+        with pytest.raises(ValueError, match="phase register needs an int number of bits >= 1"):
+            qae_mean(pi_state, oracle, t, shots=10, seed=2)
+
+    def test_register_budget_checked_before_allocation(self, monkeypatch):
+        oracle = FunctionOracle.from_table([0.0, 1.0])
+        pi_state = from_amplitudes(np.full(2, 1 / np.sqrt(2)))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("allocation started")
+
+        monkeypatch.setattr(algorithms, "unitary_of", unreachable)
+        monkeypatch.setattr(np, "empty", unreachable)
+        # the walk adds the flag qubit: 16 B * 2**21 rows * 4 amplitudes = 128 MiB
+        with pytest.raises(ValueError, match="t = 21 exceeds its 64 MiB budget"):
+            qae_mean(pi_state, oracle, 21, shots=10, seed=2)
 
     def test_estimate_map_is_even_in_k(self):
         for t in (1, 2, 3, 4):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from qmcmc._apply import apply_matrix_nd
 from qmcmc.circuit import Circuit, GateApplication
 from qmcmc.errors import AddressingError, NotUnitary, PostSelectImpossible
 from qmcmc.statevector import (
@@ -18,7 +19,7 @@ from qmcmc.statevector import (
     zero_state,
 )
 
-from conftest import random_circuit
+from conftest import haar_unitary, moveaxis_apply, random_circuit
 
 
 class TestApplyGate:
@@ -51,6 +52,32 @@ class TestApplyGate:
     def test_rejects_non_unitary_matrix(self):
         with pytest.raises(NotUnitary):
             GateApplication("unitary", ("q0",), matrix=np.array([[1, 0], [0, 2]]))
+
+
+class TestKernelPlans:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7),
+        batch=st.integers(1, 3),
+        k=st.integers(1, 3),
+        c=st.integers(0, 2),
+        view=st.booleans(),
+    )
+    def test_cached_plan_is_bit_identical_to_moveaxis(self, seed, n, batch, k, c, view):
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        c = min(c, n - k)
+        wires = tuple(int(q) for q in rng.permutation(n))
+        targets, controls = wires[:k], wires[k : k + c]
+        mat = haar_unitary(rng, 2**k)
+        shape = (batch,) + (2,) * n
+        arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if view:  # evolve hands each gate the previous gate's transposed output
+            arr = arr.transpose((0,) + tuple(int(q) + 1 for q in rng.permutation(n)))
+        expected = moveaxis_apply(arr, mat, targets, controls).tobytes()
+        for _ in range(2):  # a repeated call reads the cached plan
+            assert apply_matrix_nd(arr, mat, targets, controls).tobytes() == expected
 
 
 class TestNormAndInverse:
