@@ -9,7 +9,7 @@ each device dataset that ships with the package.
 from __future__ import annotations
 
 import argparse
-import json
+from dataclasses import replace
 from pathlib import Path
 
 from qmcmc.errors import SchemaError
@@ -37,9 +37,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for base in RUNS:
-        spec = ExperimentSpec(
-            base.name, delta=base.delta, shots=base.shots, seed=args.seed, t=base.t
-        )
+        spec = replace(base, seed=args.seed)
         report = run(spec)
         (args.outdir / f"{spec.name}.json").write_text(report.to_json())
         expected_tvd = compare(report, "expected")["tvd"]

@@ -25,8 +25,6 @@ from .statevector import (
     from_amplitudes,
     overlap,
     post_select,
-    sample,
-    simulate,
     statevector_of,
     zero_state,
 )
@@ -53,7 +51,7 @@ from .algorithms import (
     prepare_stationary,
     qae_mean,
 )
-from .noise import ZERO_NOISE, NoiseModel, apply_trajectory, sample_with_noise
+from .noise import ZERO_NOISE, NoiseModel, sample_with_noise
 from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentReport,

@@ -16,6 +16,10 @@ slice, with its targets renumbered inside that slice, on
 ``(n, targets, controls)``.  Each call then costs one transpose, one reshape
 and the ``flat @ mat.T`` product, on the same layout as ``np.moveaxis``
 would give, so amplitudes do not depend on whether a plan was cached.
+
+The module also owns the dense-matrix rules that other modules share: the
+byte budget ``DENSE_BYTES`` and its one comparison, the Gram deviation
+behind every unitarity and isometry check, and the read-only array copy.
 """
 
 from __future__ import annotations
@@ -29,8 +33,27 @@ Gate = tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]
 
 # Byte budget of one dense 2**n x 2**n complex matrix built from a circuit
 # (the noisy engine's input frame, phase estimation's circuit unitary): its
-# 16 * 4**n bytes fit for n <= 11.
+# 16 * 4**n bytes fit for n <= 11.  Phase estimation's rows share it.
 DENSE_BYTES = 64 << 20
+
+
+def check_dense_bytes(nbytes: int, holds: str, excess: str) -> None:
+    """Raise ``ValueError`` unless ``nbytes`` fits in ``DENSE_BYTES``; the
+    message reads ``"<holds>; <excess> its 64 MiB budget"``."""
+    if nbytes > DENSE_BYTES:
+        raise ValueError(f"{holds}; {excess} its {DENSE_BYTES >> 20} MiB budget")
+
+
+def gram_deviation(m: np.ndarray) -> float:
+    """``max |m^dag m - I|``: how far ``m`` is from unitary, or from orthonormal columns."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
+
+
+def readonly(a, dtype=float) -> np.ndarray:
+    """A write-protected copy of ``a`` with the given dtype."""
+    arr = np.array(a, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
 
 def apply_matrix(

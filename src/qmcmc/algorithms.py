@@ -25,8 +25,8 @@ from numbers import Integral
 
 import numpy as np
 
-from ._apply import DENSE_BYTES, evolve
-from .circuit import Circuit, controlled, unitary_of
+from ._apply import check_dense_bytes, evolve, gram_deviation
+from .circuit import _FIXED_1Q, Circuit, controlled, unitary_of
 from .config import PREP_INPUT_TOL, UNITARY_TOL
 from .errors import NotUnitary
 from .spue import WalkOperator
@@ -36,9 +36,6 @@ from .statevector import (
     post_select,
     sample_from_probabilities,
 )
-
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 # -- function oracles ----------------------------------------------------------
@@ -83,7 +80,7 @@ class FunctionOracle:
             expect = np.zeros_like(col)
             expect[x << 1] = sqrt(f)
             expect[(x << 1) | 1] = sqrt(1 - f)
-            if float(np.max(np.abs(col - expect))) > UNITARY_TOL:
+            if not float(np.max(np.abs(col - expect))) <= UNITARY_TOL:
                 raise ValueError(f"oracle column for state {x} deviates from contract")
 
 
@@ -108,7 +105,7 @@ def state_prep_circuit(probabilities, qubits: list[str]) -> Circuit:
     n = len(qubits)
     if probs.shape != (2**n,):
         raise ValueError("probability vector must have one entry per basis state")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > PREP_INPUT_TOL:
+    if np.any(probs < 0) or not abs(probs.sum() - 1.0) <= PREP_INPUT_TOL:
         raise ValueError("need a normalized nonnegative probability vector")
     circ = Circuit(qubits)
     for level in range(n):
@@ -150,8 +147,7 @@ def qpe_circuit(walk_circuit: Circuit, t: int) -> tuple[Circuit, list[str]]:
     walk circuit.  Returns the circuit and the phase wires in readout order
     (most significant bit first).
     """
-    if t < 1:
-        raise ValueError("phase register needs at least one bit")
+    check_phase_bits(t)
     phase_wires = [f"ph{j}" for j in range(t)]
     qubits = phase_wires + list(walk_circuit.qubits)
     circ = Circuit(qubits)
@@ -188,18 +184,16 @@ def phase_estimation(
     dim = input_state.dim
     _check_phase_register(t, dim)
     if isinstance(unitary, Circuit):
-        if 16 * 4**unitary.num_qubits > DENSE_BYTES:
-            raise ValueError(
-                f"phase estimation of a circuit holds its 2**n x 2**n unitary; "
-                f"{unitary.num_qubits} qubits exceed its {DENSE_BYTES >> 20} MiB budget"
-            )
+        n = unitary.num_qubits
+        holds = "phase estimation of a circuit holds its 2**n x 2**n unitary"
+        check_dense_bytes(16 * 4**n, holds, f"{n} qubits exceed")
         u = unitary_of(unitary)
     else:
         u = np.asarray(unitary, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError("unitary dimension does not match input state")
     if not isinstance(unitary, Circuit):  # circuits are unitary by construction
-        err = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+        err = gram_deviation(u)
         if not err <= UNITARY_TOL:
             raise NotUnitary(f"matrix deviates from unitarity by {err:.3e}")
     rows = np.empty((2**t, dim), dtype=complex)
@@ -216,15 +210,17 @@ def phase_estimation(
     return PhaseEstimate(t, {int(bits, 2): count for bits, count in raw.items()})
 
 
-def _check_phase_register(t, dim: int) -> None:
-    """Raise ``ValueError`` unless ``t`` is an int >= 1 whose ``(2**t, dim)`` rows fit the budget."""
+def check_phase_bits(t) -> None:
+    """Raise ``ValueError`` unless ``t`` is an integral, non-``bool`` number of bits >= 1."""
     if not isinstance(t, Integral) or isinstance(t, bool) or t < 1:
         raise ValueError(f"phase register needs an int number of bits >= 1, not {t!r}")
-    if 16 * 2 ** int(t) * dim > DENSE_BYTES:
-        raise ValueError(
-            f"phase estimation holds 2**t rows of {dim} amplitudes; t = {t} exceeds its "
-            f"{DENSE_BYTES >> 20} MiB budget"
-        )
+
+
+def _check_phase_register(t, dim: int) -> None:
+    """Raise ``ValueError`` unless ``t`` is a bit count whose ``(2**t, dim)`` rows fit the budget."""
+    check_phase_bits(t)
+    holds = f"phase estimation holds 2**t rows of {dim} amplitudes"
+    check_dense_bytes(16 * 2 ** int(t) * dim, holds, f"t = {t} exceeds")
 
 
 def _padded(state: StateVector, extra: int) -> np.ndarray:
@@ -253,7 +249,8 @@ def prepare_stationary(
         raise ValueError("reflection power must be >= 1")
     w_pow = np.linalg.matrix_power(walk.total, reflection_power)
     system = tuple(range(1, initial.num_qubits + 1))
-    gates = ((_H, (0,), ()), (w_pow, system, (0,)), (_H, (0,), ()))
+    h = _FIXED_1Q["h"]
+    gates = ((h, (0,), ()), (w_pow, system, (0,)), (h, (0,), ()))
     state = from_amplitudes(evolve(_padded(initial, 1), gates).reshape(-1))
     selected, prob = post_select(state, 0, 0)
     kept = selected.amps[: initial.dim]
@@ -296,8 +293,8 @@ def qae_mean(
     if pi_state.num_qubits != oracle.num_state_qubits:
         raise ValueError("state register size does not match oracle")
     _check_phase_register(t, 2 * pi_state.dim)  # the walk adds the flag qubit
-    if float(np.max(np.abs(pi_state.amps.imag))) > PREP_INPUT_TOL or np.any(
-        pi_state.amps.real < -PREP_INPUT_TOL
+    if not float(np.max(np.abs(pi_state.amps.imag))) <= PREP_INPUT_TOL or not np.all(
+        pi_state.amps.real >= -PREP_INPUT_TOL
     ):
         raise ValueError("qae_mean requires a nonnegative-real input state")
     probs = pi_state.probabilities()

@@ -25,25 +25,26 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._apply import Gate, evolve
+from ._apply import Gate, evolve, gram_deviation, readonly
 from .config import UNITARY_TOL
 from .errors import AddressingError, NotUnitary, SchemaError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
+# Shared by every op of their kind and read by noise and algorithms, so read-only.
 _FIXED_1Q = {
-    "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
+    "h": readonly([[_SQ2, _SQ2], [_SQ2, -_SQ2]], complex),
+    "x": readonly([[0, 1], [1, 0]], complex),
+    "y": readonly([[0, -1j], [1j, 0]], complex),
+    "z": readonly([[1, 0], [0, -1]], complex),
+    "s": readonly([[1, 0], [0, 1j]], complex),
+    "sdg": readonly([[1, 0], [0, -1j]], complex),
 }
 
 _FIXED_2Q = {
-    "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-    "cz": np.diag([1, 1, 1, -1]).astype(complex),
-    "swap": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+    "cx": readonly([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], complex),
+    "cz": readonly(np.diag([1, 1, 1, -1]), complex),
+    "swap": readonly([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], complex),
 }
 
 # kind -> (target count, parameter count); None marks matrix-backed kinds.
@@ -82,12 +83,6 @@ def _zzphase(gamma: float) -> np.ndarray:
     return np.diag([a, b, b, a])
 
 
-def _is_unitary(m: np.ndarray) -> bool:
-    return m.shape[0] == m.shape[1] and np.allclose(
-        m.conj().T @ m, np.eye(m.shape[0]), atol=UNITARY_TOL, rtol=0
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class GateApplication:
     """One gate acting on named target qubits, with optional extra controls."""
@@ -112,13 +107,12 @@ class GateApplication:
         if self.kind == "unitary":
             if self.matrix is None:
                 raise ValueError("unitary kind requires an explicit matrix")
-            m = np.array(self.matrix, dtype=complex)
+            m = readonly(self.matrix, complex)
             k = len(self.targets)
             if not 1 <= k <= 3 or m.shape != (2**k, 2**k):
                 raise ValueError("generic unitaries support 1 to 3 target qubits")
-            if not _is_unitary(m):
+            if not gram_deviation(m) <= UNITARY_TOL:
                 raise NotUnitary(f"matrix-backed gate is not unitary within {UNITARY_TOL:g}")
-            m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
         else:
             if self.matrix is not None:

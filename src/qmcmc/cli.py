@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import QmcmcError, SchemaError
 from .experiments import (
     EXPERIMENT_NAMES,
+    SPECTRAL_WALKS,
     ExperimentReport,
     ExperimentSpec,
     compare,
@@ -58,8 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--assert", dest="assert_tvd", type=float, default=None, metavar="TVD")
 
     p_spec = sub.add_parser("spectra", help="eigenphase correspondence report")
-    p_spec.add_argument("--encoding", choices=("lcu", "szegedy", "cswap", "dual"),
-                        default="szegedy")
+    p_spec.add_argument("--encoding", choices=tuple(SPECTRAL_WALKS), default="szegedy")
     p_spec.add_argument("--delta", type=float, default=0.25)
     p_spec.add_argument("--angle", type=float, default=None)
     p_spec.add_argument("--out", type=Path, default=None)

@@ -1,7 +1,11 @@
 """Numerical tolerances used across the package, in one table.
 
 Every validation check in the package reads its tolerance from here, and
-the values follow one layered scheme:
+passes only when ``deviation <= tolerance``: each is written
+``if not deviation <= TOL``, so a NaN deviation fails it.  The cutoffs are
+floors under the same rule: a branch is kept only when
+``norm >= BRANCH_NORM_CUTOFF`` or ``prob > POST_SELECT_CUTOFF``.  The values
+follow one layered scheme:
 
 - exact-construction checks at 1e-12: kernel row and distribution sums, the
   flip-proposal match, the post-selection probability cutoff and the

@@ -19,14 +19,9 @@ from typing import Callable
 
 import numpy as np
 
+from ._apply import readonly
 from .config import BALANCE_TOL, ROW_SUM_TOL, STATIONARY_TOL, SYMMETRY_TOL
 from .errors import NotErgodic, NotReversible, NotSymmetric, SchemaError
-
-
-def _readonly(a, dtype=float) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +31,7 @@ class MarkovKernel:
     p: np.ndarray
 
     def __post_init__(self):
-        p = _readonly(self.p)
+        p = readonly(self.p)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"kernel must be square, got shape {p.shape}")
         if p.shape[0] < 2:
@@ -44,7 +39,7 @@ class MarkovKernel:
         if np.any(p < 0):
             raise ValueError("kernel entries must be nonnegative")
         row_err = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
-        if row_err > ROW_SUM_TOL:
+        if not row_err <= ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 (max deviation {row_err:.3e})")
         object.__setattr__(self, "p", p)
 
@@ -90,12 +85,12 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _readonly(self.weights)
+        w = readonly(self.weights)
         if w.ndim != 1:
             raise ValueError("distribution must be a vector")
         if np.any(w < 0):
             raise ValueError("probabilities must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > ROW_SUM_TOL:
+        if not abs(float(w.sum()) - 1.0) <= ROW_SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", w)
 
@@ -130,7 +125,7 @@ def stationary(kernel: MarkovKernel) -> Distribution:
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     resid = float(np.max(np.abs(pi @ kernel.p - pi)))
-    if resid > STATIONARY_TOL:
+    if not resid <= STATIONARY_TOL:
         raise NotErgodic(f"stationary solve failed to converge (residual {resid:.3e})")
     return Distribution(pi)
 
@@ -146,11 +141,11 @@ def discriminant(kernel: MarkovKernel, pi: Distribution) -> np.ndarray:
         raise ValueError("discriminant requires strictly positive pi")
     flow = w[:, None] * kernel.p
     balance_err = float(np.max(np.abs(flow - flow.T)))
-    if balance_err > BALANCE_TOL:
+    if not balance_err <= BALANCE_TOL:
         raise NotReversible(f"detailed balance violated (max flow asymmetry {balance_err:.3e})")
     d = np.sqrt(w[:, None] / w[None, :]) * kernel.p
     asym = float(np.max(np.abs(d - d.T)))
-    if asym > SYMMETRY_TOL:
+    if not asym <= SYMMETRY_TOL:
         raise NotSymmetric(f"discriminant asymmetry {asym:.3e} exceeds tolerance")
     return d
 

@@ -41,8 +41,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._apply import DENSE_BYTES, Gate, apply_matrix, apply_matrix_nd, evolve, marginal_probabilities
-from .circuit import Circuit
+from ._apply import (
+    Gate, apply_matrix, apply_matrix_nd, check_dense_bytes, evolve, marginal_probabilities
+)
+from .circuit import _FIXED_1Q, Circuit
 from .errors import SchemaError
 from .rng import ShotStreams, shot_rng
 from .statevector import (
@@ -55,12 +57,7 @@ from .statevector import (
     zero_state,
 )
 
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_PAULI_1Q = [_PAULI["x"], _PAULI["y"], _PAULI["z"]]
+_PAULI_1Q = [_FIXED_1Q["x"], _FIXED_1Q["y"], _FIXED_1Q["z"]]
 
 # Amplitude bytes of one batch of fault patterns evolved together.
 _BATCH_BYTES = 64 << 20
@@ -238,11 +235,7 @@ def sample_with_noise(
         final = evolve(_ground_batch(1, n), circuit.gates())
         probs = marginal_probabilities(final, idx, n)[0]
         return sample_from_probabilities(probs, m, shots, seed)
-    if 16 * 4**n > DENSE_BYTES:
-        raise ValueError(
-            f"noisy sampling holds a 2**n x 2**n frame; {n} qubits exceed "
-            f"its {DENSE_BYTES >> 20} MiB budget"
-        )
+    check_dense_bytes(16 * 4**n, "noisy sampling holds a 2**n x 2**n frame", f"{n} qubits exceed")
 
     gates, arities, rates = _sites(circuit, model)
     u_out = np.empty(shots)

@@ -22,23 +22,19 @@ against its kernel, and circuits meet matrices only in ``walk_operator``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import acos, pi, sin, sqrt
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import schur
 
+from ._apply import gram_deviation, readonly
 from .circuit import Circuit, unitary_of
 from .config import PHASE_TOL, PROPOSAL_TOL, SPECTRUM_TOL, SYMMETRY_TOL, UNITARY_TOL
 from .errors import ConstructionInvalid, NotSymmetric, NotUnitary, Unsupported
 from .markov import Distribution, MarkovKernel, discriminant, stationary
-
-
-def _readonly(a) -> np.ndarray:
-    arr = np.array(a, dtype=complex)
-    arr.setflags(write=False)
-    return arr
+from .statevector import statevector_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,12 +52,11 @@ class PartialIsometry:
     zero_qubits: tuple[str, ...] = ()
 
     def __post_init__(self):
-        m = _readonly(self.matrix)
+        m = readonly(self.matrix, complex)
         if m.ndim != 2:
             raise ValueError("isometry must be a matrix")
-        gram = m.conj().T @ m
-        err = float(np.max(np.abs(gram - np.eye(m.shape[1]))))
-        if err > UNITARY_TOL:
+        err = gram_deviation(m)
+        if not err <= UNITARY_TOL:
             raise ValueError(f"isometry columns not orthonormal (deviation {err:.3e})")
         object.__setattr__(self, "matrix", m)
 
@@ -87,15 +82,15 @@ class Spue:
     name: str = ""
 
     def __post_init__(self):
-        u = _readonly(self.unitary)
+        u = readonly(self.unitary, complex)
         dim = self.isometry.space_dim
         if u.shape != (dim, dim):
             raise ValueError("unitary dimension does not match isometry space")
-        err = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-        if err > UNITARY_TOL:
+        err = gram_deviation(u)
+        if not err <= UNITARY_TOL:
             raise NotUnitary(f"encoding unitary deviates from unitarity by {err:.3e}")
         object.__setattr__(self, "unitary", u)
-        if float(np.max(np.abs(u - u.T))) > SYMMETRY_TOL:
+        if not float(np.max(np.abs(u - u.T))) <= SYMMETRY_TOL:
             warnings.warn(
                 f"encoding unitary {self.name or '<anonymous>'} is not symmetric; "
                 "only the encoded operator's symmetry is enforced",
@@ -120,19 +115,13 @@ class WalkOperator:
     def num_qubits(self) -> int:
         return self.spue.num_qubits
 
-    @property
-    def qubits(self) -> tuple[str, ...]:
-        if self.circuit is None:
-            raise ValueError("walk has no circuit realization")
-        return self.circuit.qubits
-
 
 def encoded_operator(spue: Spue) -> np.ndarray:
     """A = E^dag U E; raises NotSymmetric if the encoding is broken."""
     e = spue.isometry.matrix
     a = e.conj().T @ spue.unitary @ e
     asym = float(np.max(np.abs(a - a.T)))
-    if asym > SYMMETRY_TOL:
+    if not asym <= SYMMETRY_TOL:
         raise NotSymmetric(f"encoded operator asymmetry {asym:.3e}")
     return a
 
@@ -140,7 +129,7 @@ def encoded_operator(spue: Spue) -> np.ndarray:
 def _check_encodes(spue: Spue, kernel: np.ndarray) -> Spue:
     """Return ``spue``; raise ConstructionInvalid unless E^dag U E is ``kernel``."""
     dev = float(np.max(np.abs(encoded_operator(spue) - kernel)))
-    if dev > SPECTRUM_TOL:
+    if not dev <= SPECTRUM_TOL:
         raise ConstructionInvalid(f"{spue.name} encoded operator is {dev:.3e} from its kernel")
     return spue
 
@@ -165,7 +154,7 @@ def walk_operator(spue: Spue) -> WalkOperator:
         circuit = Circuit(spue.circuit.qubits).extend(spue.circuit.ops)
         circuit.reflection(iso.prep_circuit, iso.zero_qubits).freeze()
         dev = float(np.max(np.abs(unitary_of(circuit) - total)))
-        if dev > UNITARY_TOL:
+        if not dev <= UNITARY_TOL:
             raise ConstructionInvalid(f"walk circuit disagrees with matrix by {dev:.3e}")
     return WalkOperator(spue, total, circuit)
 
@@ -196,17 +185,7 @@ class SpectralReport:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "entries": [
-                {
-                    "eigenvalue": e.eigenvalue,
-                    "theta": e.theta,
-                    "walk_phases": list(e.walk_phases),
-                    "phase_error": e.phase_error,
-                    "subspace_residual": e.subspace_residual,
-                    "ok": e.ok,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
             "violations": list(self.violations),
         }
 
@@ -285,7 +264,7 @@ def _greedy_phase_match(
         diffs = np.abs(np.angle(np.exp(1j * (actual - p))))
         diffs[used] = np.inf
         k = int(np.argmin(diffs))
-        if diffs[k] > tol:
+        if not diffs[k] <= tol:
             violations.append(f"no unclaimed walk phase within {tol:.1e} of {p:.6f}")
         else:
             used[k] = True
@@ -385,7 +364,7 @@ def cswap_encoding(proposal: MarkovKernel, acceptance_angle: float) -> Spue:
     delta = sin^2(acceptance_angle).  Only the deterministic flip proposal
     is realizable as O_T here.
     """
-    if not np.allclose(proposal.p, [[0, 1], [1, 0]], atol=PROPOSAL_TOL):
+    if not float(np.max(np.abs(proposal.p - [[0, 1], [1, 0]]))) <= PROPOSAL_TOL:
         raise Unsupported("controlled-swap encoding supports the flip proposal only")
     if not 0 <= acceptance_angle <= pi / 2:
         raise ValueError("acceptance angle must lie in [0, pi/2]")
@@ -463,7 +442,7 @@ def dual_walk(acceptance_angle: float) -> tuple[WalkOperator, Circuit]:
     v_proper = np.zeros(4)
     v_proper[0b01] = v_proper[0b10] = 1 / sqrt(2)
     fixed = iso_matrix @ v_proper
-    if float(np.linalg.norm(walk.total @ fixed - fixed)) > PHASE_TOL:
+    if not float(np.linalg.norm(walk.total @ fixed - fixed)) <= PHASE_TOL:
         raise ConstructionInvalid("uniform proper-edge state is not fixed by the walk")
 
     eigenstate_prep = Circuit(qubits)
@@ -472,7 +451,7 @@ def dual_walk(acceptance_angle: float) -> tuple[WalkOperator, Circuit]:
     eigenstate_prep.h("it").cx("it", "ih").x("ih")
     eigenstate_prep.freeze()
     if abs(theta - pi / 4) < 1e-12:
-        v_state = unitary_of(eigenstate_prep)[:, 0]
-        if float(np.linalg.norm(walk.total @ v_state - v_state)) > PHASE_TOL:
+        v_state = statevector_of(eigenstate_prep).amps
+        if not float(np.linalg.norm(walk.total @ v_state - v_state)) <= PHASE_TOL:
             raise ConstructionInvalid("eigenstate preparer output is not fixed by the walk")
     return walk, eigenstate_prep

@@ -42,7 +42,7 @@ class StateVector:
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(f"expected {2**self.num_qubits} amplitudes, got {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -118,7 +118,7 @@ def _project(state: StateVector, qubit: int, value: int) -> StateVector:
     nd[(slice(None),) * qubit + (1 - value,)] = 0.0
     flat = nd.reshape(-1)
     norm = np.linalg.norm(flat)
-    if norm < BRANCH_NORM_CUTOFF:
+    if not norm >= BRANCH_NORM_CUTOFF:
         raise PostSelectImpossible(f"qubit {qubit} = {value} has zero probability")
     return StateVector(state.num_qubits, flat / norm)
 
@@ -129,9 +129,9 @@ def post_select(state: StateVector, qubit: int, value: int) -> tuple[StateVector
         raise ValueError("post-selected value must be 0 or 1")
     probs = marginal_probabilities(state.amps, (qubit,), state.num_qubits)[0]
     prob = float(probs[value])
-    if prob <= POST_SELECT_CUTOFF:
+    if not prob > POST_SELECT_CUTOFF:
         raise PostSelectImpossible(
-            f"qubit {qubit} = {value} has probability {prob:.3e} <= cutoff"
+            f"qubit {qubit} = {value} has probability {prob:.3e}, not above the cutoff"
         )
     return _project(state, qubit, value), prob
 

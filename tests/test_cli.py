@@ -140,6 +140,19 @@ def test_compare_unknown_noise_key_is_schema_error(tmp_path, capsys):
     assert "malformed experiment spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("t", 2.5), ("t", True), ("shots", 2**64 + 1)], ids=["t-2.5", "t-true", "shots-2**64+1"]
+)
+def test_compare_spec_count_out_of_rule_is_schema_error(tmp_path, capsys, field, value):
+    payload = _stored_report(tmp_path)
+    payload["spec"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(bad)]) == 2
+    assert "malformed experiment spec" in capsys.readouterr().err
+
+
 def test_compare_top_level_list_is_schema_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([_stored_report(tmp_path)]))

@@ -36,6 +36,22 @@ class TestSpecValidation:
             with pytest.raises(ValueError):
                 ExperimentSpec("lcu-state-prep", shots=shots)
 
+    @pytest.mark.parametrize("t", [True, 2.0, 2.5, 0], ids=repr)
+    def test_t_is_an_int_bit_count(self, t):
+        with pytest.raises(ValueError, match="phase register needs an int number of bits >= 1"):
+            ExperimentSpec("lcu-state-prep", t=t)
+
+    def test_shots_bounded_by_the_stream_count(self):
+        ExperimentSpec("lcu-state-prep", shots=2**64)
+        with pytest.raises(ValueError, match=r"at most 2\*\*64"):
+            ExperimentSpec("lcu-state-prep", shots=2**64 + 1)
+
+    @pytest.mark.parametrize("field", ["shots", "t"])
+    def test_numpy_ints_rejected(self, field):
+        # The report is JSON, which has no NumPy integers.
+        with pytest.raises(ValueError, match="plain ints"):
+            ExperimentSpec("lcu-state-prep", **{field: np.int64(2)})
+
     def test_default_angles(self):
         assert ExperimentSpec("cswap-state-prep").angle() == pytest.approx(np.pi / 6)
         assert ExperimentSpec("dual-overlap").angle() == pytest.approx(np.pi / 4)

@@ -244,7 +244,7 @@ class TestBuildChecks:
                     silent.append(f"circuit {k} + {label} on {q}")
         assert not silent, silent
 
-    @pytest.mark.parametrize("name, builds", [("lcu", 2), ("szegedy", 1), ("cswap", 3), ("dual", 4)])
+    @pytest.mark.parametrize("name, builds", [("lcu", 2), ("szegedy", 1), ("cswap", 3), ("dual", 3)])
     def test_each_circuit_is_built_once(self, monkeypatch, name, builds):
         calls = []
         monkeypatch.setattr("qmcmc.spue.unitary_of", lambda c: calls.append(c) or unitary_of(c))

@@ -6,16 +6,24 @@ raises the check's error.  The post-selection cutoff is a floor on the
 branch probability, so there the accepted probability is four times the
 cutoff and the rejected one a tenth of it.  The tolerances are written out
 here as numbers, so a change to any of them in the package fails this test.
+A NaN deviation fails every check.
 """
 
 import numpy as np
 import pytest
 
+from qmcmc.algorithms import FunctionOracle, qae_mean, state_prep_circuit
 from qmcmc.circuit import GateApplication
-from qmcmc.errors import ConstructionInvalid, NotReversible, NotUnitary, PostSelectImpossible
+from qmcmc.errors import (
+    ConstructionInvalid,
+    NotReversible,
+    NotUnitary,
+    PostSelectImpossible,
+    SchemaError,
+)
 from qmcmc.markov import Distribution, MarkovKernel, discriminant
 from qmcmc.spue import PartialIsometry, Spue, _check_encodes
-from qmcmc.statevector import StateVector, post_select
+from qmcmc.statevector import StateVector, from_amplitudes, post_select
 
 INSIDE, OUTSIDE = 0.25, 10.0
 
@@ -82,3 +90,35 @@ def test_tolerance_boundary(build, inside, outside, error):
     build(inside)
     with pytest.raises(error):
         build(outside)
+
+
+# A NaN deviation fails the check itself, or an earlier check that sees the
+# NaN first: the NaN kernel fails the row sum, the NaN state its norm.
+NAN_CAUGHT_EARLIER = {"detailed-balance": ValueError, "post-select-cutoff": ValueError}
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "name,build,error", [(c[0], c[1], c[4]) for c in CHECKS], ids=[c[0] for c in CHECKS]
+)
+def test_nan_deviation_raises(name, build, error):
+    with pytest.raises(NAN_CAUGHT_EARLIER.get(name, error)):
+        build(NAN)
+
+
+def _qae_mean_of_nan_state():
+    qae_mean(from_amplitudes([NAN, NAN]), FunctionOracle.from_table([0.0, 1.0], 1), 3, 100, 0)
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (_qae_mean_of_nan_state, ValueError),
+        (lambda: state_prep_circuit([NAN, NAN], ["q"]), ValueError),
+        (lambda: MarkovKernel.from_json('{"n": 2, "p": [[NaN, NaN], [NaN, NaN]]}'), SchemaError),
+    ],
+    ids=["qae-mean", "state-prep-circuit", "kernel-json"],
+)
+def test_nan_input_raises(call, error):
+    with pytest.raises(error):
+        call()
