@@ -2,9 +2,9 @@
 
 Preparation runs single-bit phase estimation of a walk power against a
 control qubit and post-selects the 0 outcome, which filters the input onto
-the walk's +1 eigenvector.  Mean estimation applies a function oracle to the
-stationary state and phase-estimates the qubitized walk of the reflection
-about the resulting state; measured phases convert to mean estimates through
+the walk's +1 eigenvector.  Mean estimation applies a function oracle to any
+input state, giving |psi>, and phase-estimates the dense walk
+W = Z_f (2|psi><psi| - 1); measured phases convert to mean estimates through
 the cosine map, and a phase register of t bits resolves exactly those means
 whose phases are multiples of 1/2^t.
 
@@ -52,7 +52,7 @@ class FunctionOracle:
     @classmethod
     def from_table(cls, values, num_state_qubits: int | None = None) -> "FunctionOracle":
         values = np.asarray(values, dtype=float)
-        if np.any(values < 0) or np.any(values > 1):
+        if not np.all((values >= 0) & (values <= 1)):  # NaN fails both
             raise ValueError("function values must lie in [0, 1]")
         if num_state_qubits is None:
             num_state_qubits = max(1, int(np.ceil(np.log2(len(values)))))
@@ -266,15 +266,6 @@ def mean_estimate_from_phase(k: int, t: int) -> float:
     return round((cos(2 * pi * k_eff / 2**t) + 1) / 2, 12)
 
 
-def reflection_walk_circuit(prep: Circuit, flag: str) -> Circuit:
-    """Qubitized walk of the reflection about prep|0> against the flag's |0>.
-
-    The reflection is prep (2|0><0| - 1) prep^dag over all prep qubits; the
-    walk multiplies it by Z on the flag.
-    """
-    return Circuit(prep.qubits).reflection(prep, prep.qubits).z(flag).freeze()
-
-
 def qae_mean(
     pi_state: StateVector,
     oracle: FunctionOracle,
@@ -284,29 +275,20 @@ def qae_mean(
 ) -> dict[float, int]:
     """Amplitude-estimation histogram of mean estimates for E_pi(f).
 
-    Applies the oracle to pi_state with a fresh flag qubit, then
-    phase-estimates the qubitized walk of the reflection about the resulting
-    state.  The reflection preparation network is rebuilt from pi_state's
-    probabilities, so the input must have nonnegative real amplitudes (true
-    for every coherent distribution encoding).
+    Applies the oracle to pi_state with a fresh flag qubit, giving
+    |psi> = O(|pi>|0>), then phase-estimates the qubitized walk
+    W = Z_f (2|psi><psi| - 1) on |psi>.  W is built as the dense matrix it
+    is, so any normalized state works, complex and negative amplitudes
+    included.
     """
     if pi_state.num_qubits != oracle.num_state_qubits:
         raise ValueError("state register size does not match oracle")
     _check_phase_register(t, 2 * pi_state.dim)  # the walk adds the flag qubit
-    if not float(np.max(np.abs(pi_state.amps.imag))) <= PREP_INPUT_TOL or not np.all(
-        pi_state.amps.real >= -PREP_INPUT_TOL
-    ):
-        raise ValueError("qae_mean requires a nonnegative-real input state")
-    probs = pi_state.probabilities()
-    x_names = list(oracle.circuit.qubits[:-1])
-    prep = Circuit(list(oracle.circuit.qubits))
-    prep.extend(state_prep_circuit(probs, x_names).ops)
-    prep.extend(oracle.circuit.ops)
-    prep.freeze()
-    walk = reflection_walk_circuit(prep, flag="f")
-    with_flag = np.kron(pi_state.amps, np.array([1.0, 0.0]))
-    entangled = unitary_of(oracle.circuit) @ with_flag
-    pe = phase_estimation(walk, from_amplitudes(entangled), t, shots, seed)
+    psi = oracle.matrix() @ np.kron(pi_state.amps, [1.0, 0.0])
+    psi /= np.linalg.norm(psi)  # a matrix input must be unitary within UNITARY_TOL
+    reflection = 2 * np.outer(psi, psi.conj()) - np.eye(len(psi))
+    walk = np.tile([1.0, -1.0], pi_state.dim)[:, None] * reflection  # Z on the flag
+    pe = phase_estimation(walk, from_amplitudes(psi), t, shots, seed)
     histogram: dict[float, int] = {}
     for k, count in pe.histogram.items():
         est = mean_estimate_from_phase(k, t)

@@ -33,8 +33,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a named experiment")
-    p_run.add_argument("--experiment", required=True, choices=EXPERIMENT_NAMES)
+    p_run = sub.add_parser("run", help="run a named measurement experiment")
+    # Spectral checks measure nothing; they run through `spectra`.
+    measured = tuple(name for name in EXPERIMENT_NAMES if name != "spectral-check")
+    p_run.add_argument("--experiment", required=True, choices=measured)
     p_run.add_argument("--delta", type=float, default=0.25)
     p_run.add_argument("--angle", type=float, default=None, help="acceptance angle (radians)")
     p_run.add_argument("--shots", type=int, default=10_000)
@@ -122,7 +124,6 @@ def main(argv: list[str] | None = None) -> int:
                 "spectral-check",
                 delta=args.delta,
                 acceptance_angle=args.angle,
-                shots=1,
                 encoding=args.encoding,
             )
             report = run(spec)
@@ -148,10 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             noise=noise,
             t=args.t,
         )
-        if args.experiment == "spectral-check":
-            report = run(spec)
-        else:
-            report = run_with_comparison(spec, args.compare_to)
+        report = run_with_comparison(spec, args.compare_to)
         if args.format == "json":
             _emit(report.to_json(), args.out)
         elif args.format == "csv":

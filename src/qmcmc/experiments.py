@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from math import acos, pi, sqrt
+from numbers import Real
 
 import numpy as np
 
 from .algorithms import FunctionOracle, check_phase_bits, inverse_qft_ops, mean_estimate_from_phase
 from .circuit import Circuit
 from .errors import SchemaError
-from .markov import MarkovKernel, two_state_kernel
+from .markov import flip_proposal, two_state_kernel
 from .noise import ZERO_NOISE, NoiseModel, sample_with_noise
 from .references import experiment_reference, gate_reference, reference_table
 from .spue import (
@@ -60,6 +61,13 @@ class ExperimentSpec:
             raise ValueError(f"shots and t must be plain ints, not {self.shots!r} and {self.t!r}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+        angle = self.acceptance_angle
+        if angle is not None and (
+            not isinstance(angle, Real) or isinstance(angle, bool) or not 0 <= angle <= pi / 2
+        ):
+            raise ValueError(f"acceptance angle must be None or lie in [0, pi/2], not {angle!r}")
+        if self.encoding not in SPECTRAL_WALKS:
+            raise ValueError(f"unknown encoding {self.encoding!r}")
 
     def angle(self) -> float:
         if self.acceptance_angle is not None:
@@ -153,11 +161,6 @@ def _is_count(value) -> bool:
 
 
 # -- pipelines -----------------------------------------------------------------
-
-
-def flip_proposal() -> MarkovKernel:
-    """Deterministic two-state flip, the proposal behind the swap encodings."""
-    return MarkovKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def _controlled_lcu_walk_ops(delta: float, c: str, a: str, x: str) -> list:
@@ -416,8 +419,6 @@ SPECTRAL_WALKS = {
 
 
 def _run_spectral_check(spec: ExperimentSpec) -> ExperimentReport:
-    if spec.encoding not in SPECTRAL_WALKS:
-        raise ValueError(f"unknown encoding {spec.encoding!r}")
     report = check_spectral_correspondence(SPECTRAL_WALKS[spec.encoding](spec))
     derived = {"spectral": report.to_dict(), "encoding": spec.encoding}
     return ExperimentReport(spec, (), {}, None, derived)

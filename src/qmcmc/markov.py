@@ -103,11 +103,21 @@ class Distribution:
         return np.sqrt(self.weights)
 
 
+def _two_state_matrix(delta: float) -> np.ndarray:
+    """(1 - d) I + d X, the two-state kernel matrix, for every d in [0, 1]."""
+    return np.array([[1 - delta, delta], [delta, 1 - delta]])
+
+
 def two_state_kernel(delta: float) -> MarkovKernel:
     """Symmetric two-state kernel [[1-d, d], [d, 1-d]]."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return MarkovKernel(np.array([[1 - delta, delta], [delta, 1 - delta]]))
+    return MarkovKernel(_two_state_matrix(delta))
+
+
+def flip_proposal() -> MarkovKernel:
+    """Deterministic two-state flip, the proposal behind the swap encodings."""
+    return MarkovKernel(_two_state_matrix(1.0))
 
 
 def stationary(kernel: MarkovKernel) -> Distribution:

@@ -27,13 +27,19 @@ from math import acos, pi, sin, sqrt
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import schur
 
 from ._apply import gram_deviation, readonly
 from .circuit import Circuit, unitary_of
 from .config import PHASE_TOL, PROPOSAL_TOL, SPECTRUM_TOL, SYMMETRY_TOL, UNITARY_TOL
 from .errors import ConstructionInvalid, NotSymmetric, NotUnitary, Unsupported
-from .markov import Distribution, MarkovKernel, discriminant, stationary
+from .markov import (
+    Distribution,
+    MarkovKernel,
+    _two_state_matrix,
+    discriminant,
+    flip_proposal,
+    stationary,
+)
 from .statevector import statevector_of
 
 
@@ -132,11 +138,6 @@ def _check_encodes(spue: Spue, kernel: np.ndarray) -> Spue:
     if not dev <= SPECTRUM_TOL:
         raise ConstructionInvalid(f"{spue.name} encoded operator is {dev:.3e} from its kernel")
     return spue
-
-
-def _flip_chain(delta: float) -> np.ndarray:
-    """(1 - d) I + d X, the two-state kernel, for every d in [0, 1]."""
-    return np.array([[1 - delta, delta], [delta, 1 - delta]])
 
 
 def walk_operator(spue: Spue) -> WalkOperator:
@@ -255,8 +256,7 @@ def _greedy_phase_match(
     claim a distinct walk eigenphase within tolerance (handles degenerate
     spectra by multiplicity).
     """
-    t_mat, _ = schur(w, output="complex")
-    actual = np.angle(np.diagonal(t_mat))
+    actual = np.angle(np.linalg.eigvals(w))
     used = np.zeros(len(actual), dtype=bool)
     matched = []
     violations = []
@@ -292,7 +292,7 @@ def lcu_encoding(delta: float) -> Spue:
     iso_matrix[0, 0] = iso_matrix[1, 1] = 1.0
     prep = Circuit(["a", "x"]).freeze()
     iso = PartialIsometry(iso_matrix, prep, ("a",))
-    return _check_encodes(Spue(u, iso, circ, name=f"lcu(delta={delta})"), _flip_chain(delta))
+    return _check_encodes(Spue(u, iso, circ, name=f"lcu(delta={delta})"), _two_state_matrix(delta))
 
 
 def lcu_walk(delta: float) -> WalkOperator:
@@ -364,7 +364,7 @@ def cswap_encoding(proposal: MarkovKernel, acceptance_angle: float) -> Spue:
     delta = sin^2(acceptance_angle).  Only the deterministic flip proposal
     is realizable as O_T here.
     """
-    if not float(np.max(np.abs(proposal.p - [[0, 1], [1, 0]]))) <= PROPOSAL_TOL:
+    if not float(np.max(np.abs(proposal.p - flip_proposal().p))) <= PROPOSAL_TOL:
         raise Unsupported("controlled-swap encoding supports the flip proposal only")
     if not 0 <= acceptance_angle <= pi / 2:
         raise ValueError("acceptance angle must lie in [0, pi/2]")
@@ -378,7 +378,7 @@ def cswap_encoding(proposal: MarkovKernel, acceptance_angle: float) -> Spue:
     iso_matrix = unitary_of(prep)[:, [0, 4]]
     iso = PartialIsometry(iso_matrix, prep, ("y", "c"))
     spue = Spue(u, iso, circ, name=f"cswap(theta={acceptance_angle})")
-    return _check_encodes(spue, _flip_chain(sin(acceptance_angle) ** 2))
+    return _check_encodes(spue, _two_state_matrix(sin(acceptance_angle) ** 2))
 
 
 def cswap_walk(proposal: MarkovKernel, acceptance_angle: float) -> WalkOperator:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from qmcmc.circuit import Circuit
 from qmcmc.markov import Distribution, MarkovKernel
 from qmcmc.noise import NoiseModel
 
@@ -75,10 +76,18 @@ def qpe_point_mass_distribution(phase: float, t: int) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
+def reflection_walk_circuit(prep: Circuit, flag: str) -> Circuit:
+    """Qubitized walk of the reflection about prep|0> against the flag's |0>.
+
+    The reflection is prep (2|0><0| - 1) prep^dag over all prep qubits; the
+    walk multiplies it by Z on the flag.  This is the gate-level form of the
+    walk that ``qae_mean`` builds as a matrix.
+    """
+    return Circuit(prep.qubits).reflection(prep, prep.qubits).z(flag).freeze()
+
+
 def random_circuit(rng: np.random.Generator, qubits: list[str], depth: int):
     """Random circuit over a mixed gate alphabet (no measurements)."""
-    from qmcmc.circuit import Circuit
-
     circ = Circuit(qubits)
     for _ in range(depth):
         kind = rng.choice(

@@ -14,7 +14,6 @@ from qmcmc.algorithms import (
     prepare_stationary,
     qae_mean,
     qpe_circuit,
-    reflection_walk_circuit,
     state_prep_circuit,
 )
 from qmcmc.circuit import Circuit, unitary_of
@@ -29,7 +28,12 @@ from qmcmc.statevector import (
     zero_state,
 )
 
-from conftest import haar_unitary, qpe_point_mass_distribution, random_reversible_kernel
+from conftest import (
+    haar_unitary,
+    qpe_point_mass_distribution,
+    random_reversible_kernel,
+    reflection_walk_circuit,
+)
 
 
 class TestFunctionOracle:
@@ -250,6 +254,22 @@ class TestQaeMean:
         prep.extend(oracle.circuit.ops)
         walk = reflection_walk_circuit(prep.freeze(), "f")
         entangled = from_amplitudes(oracle.matrix() @ np.kron(pi_state.amps, [1.0, 0.0]))
+        expected: dict[float, int] = {}
+        for k, count in _gate_level_qpe(walk, entangled, 4, shots=3000, seed=6).items():
+            est = mean_estimate_from_phase(k, 4)
+            expected[est] = expected.get(est, 0) + count
+        assert hist == expected
+        assert len(expected) > 1
+
+    def test_complex_amplitudes_match_gate_level_oracle(self):
+        values, amps = [0.2, 0.78], np.array([0.6, 0.8j])
+        oracle = FunctionOracle.from_table(values)
+        pi_state = from_amplitudes(amps)
+        hist = qae_mean(pi_state, oracle, t=4, shots=3000, seed=6)
+        loader = np.array([[0.6, 0.8j], [0.8j, 0.6]])  # first column is pi
+        prep = Circuit(["x0", "f"]).unitary(loader, ["x0"]).extend(oracle.circuit.ops)
+        walk = reflection_walk_circuit(prep.freeze(), "f")
+        entangled = from_amplitudes(oracle.matrix() @ np.kron(amps, [1.0, 0.0]))
         expected: dict[float, int] = {}
         for k, count in _gate_level_qpe(walk, entangled, 4, shots=3000, seed=6).items():
             est = mean_estimate_from_phase(k, 4)

@@ -121,6 +121,14 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_run_refuses_spectral_check(capsys):
+    # `spectra` is the one route for spectral checks; `run` only measures.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--experiment", "spectral-check"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'spectral-check'" in capsys.readouterr().err
+
+
 def _stored_report(tmp_path, experiment="lcu-state-prep") -> dict:
     out_file = tmp_path / "report.json"
     assert main([
@@ -144,6 +152,21 @@ def test_compare_unknown_noise_key_is_schema_error(tmp_path, capsys):
     "field, value", [("t", 2.5), ("t", True), ("shots", 2**64 + 1)], ids=["t-2.5", "t-true", "shots-2**64+1"]
 )
 def test_compare_spec_count_out_of_rule_is_schema_error(tmp_path, capsys, field, value):
+    payload = _stored_report(tmp_path)
+    payload["spec"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(bad)]) == 2
+    assert "malformed experiment spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("acceptance_angle", float("nan")), ("acceptance_angle", 7.0), ("encoding", "bogus")],
+    ids=["angle-nan", "angle-7", "encoding-bogus"],
+)
+def test_compare_spec_angle_or_encoding_out_of_rule_is_schema_error(tmp_path, capsys, field, value):
     payload = _stored_report(tmp_path)
     payload["spec"][field] = value
     bad = tmp_path / "bad.json"

@@ -52,6 +52,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="plain ints"):
             ExperimentSpec("lcu-state-prep", **{field: np.int64(2)})
 
+    @pytest.mark.parametrize("angle", [float("nan"), 7.0, -0.1, True, "0.5"], ids=repr)
+    def test_acceptance_angle_in_range(self, angle):
+        with pytest.raises(ValueError, match="acceptance angle must be None or lie in"):
+            ExperimentSpec("cswap-state-prep", acceptance_angle=angle)
+
+    def test_unknown_encoding(self):
+        with pytest.raises(ValueError, match="unknown encoding 'bogus'"):
+            ExperimentSpec("spectral-check", encoding="bogus")
+
     def test_default_angles(self):
         assert ExperimentSpec("cswap-state-prep").angle() == pytest.approx(np.pi / 6)
         assert ExperimentSpec("dual-overlap").angle() == pytest.approx(np.pi / 4)

@@ -111,14 +111,15 @@ def _qae_mean_of_nan_state():
 
 
 @pytest.mark.parametrize(
-    "call,error",
+    "call,error,match",
     [
-        (_qae_mean_of_nan_state, ValueError),
-        (lambda: state_prep_circuit([NAN, NAN], ["q"]), ValueError),
-        (lambda: MarkovKernel.from_json('{"n": 2, "p": [[NaN, NaN], [NaN, NaN]]}'), SchemaError),
+        (_qae_mean_of_nan_state, ValueError, None),
+        (lambda: state_prep_circuit([NAN, NAN], ["q"]), ValueError, None),
+        (lambda: MarkovKernel.from_json('{"n": 2, "p": [[NaN, NaN], [NaN, NaN]]}'), SchemaError, None),
+        (lambda: FunctionOracle.from_table([NAN, 1.0], 1), ValueError, r"must lie in \[0, 1\]"),
     ],
-    ids=["qae-mean", "state-prep-circuit", "kernel-json"],
+    ids=["qae-mean", "state-prep-circuit", "kernel-json", "oracle-table"],
 )
-def test_nan_input_raises(call, error):
-    with pytest.raises(error):
+def test_nan_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
         call()
