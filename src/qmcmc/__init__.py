@@ -23,7 +23,6 @@ from .statevector import (
     StateVector,
     basis_state,
     from_amplitudes,
-    overlap,
     post_select,
     statevector_of,
     zero_state,

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._apply import check_dense_bytes, evolve, gram_deviation
 from .circuit import _FIXED_1Q, Circuit, controlled, unitary_of
-from .config import PREP_INPUT_TOL, UNITARY_TOL
+from .config import UNITARY_TOL
 from .errors import NotUnitary
 from .spue import WalkOperator
 from .statevector import (
@@ -97,27 +97,6 @@ def _multiplexed_ry(circ: Circuit, selectors: list[str], target: str, angles: li
     circ.cx(selectors[0], target)
     _multiplexed_ry(circ, selectors[1:], target, list((low - high) / 2))
     circ.cx(selectors[0], target)
-
-
-def state_prep_circuit(probabilities, qubits: list[str]) -> Circuit:
-    """Amplitude-tree preparation of sum_x sqrt(p(x)) |x> for nonnegative p."""
-    probs = np.asarray(probabilities, dtype=float)
-    n = len(qubits)
-    if probs.shape != (2**n,):
-        raise ValueError("probability vector must have one entry per basis state")
-    if np.any(probs < 0) or not abs(probs.sum() - 1.0) <= PREP_INPUT_TOL:
-        raise ValueError("need a normalized nonnegative probability vector")
-    circ = Circuit(qubits)
-    for level in range(n):
-        blocks = probs.reshape(2**level, -1)
-        mass = blocks.sum(axis=1)
-        halves = blocks.reshape(2**level, 2, -1).sum(axis=2)
-        angles = [
-            2 * atan2(sqrt(halves[k, 1]), sqrt(halves[k, 0])) if mass[k] > 1e-15 else 0.0
-            for k in range(2**level)
-        ]
-        _multiplexed_ry(circ, qubits[:level], qubits[level], angles)
-    return circ.freeze()
 
 
 # -- phase estimation ----------------------------------------------------------

@@ -25,6 +25,9 @@ from .experiments import (
 )
 from .noise import NoiseModel
 
+# Spectral checks measure nothing; they run through `spectra`.
+_MEASURED = tuple(name for name in EXPERIMENT_NAMES if name != "spectral-check")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -34,9 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a named measurement experiment")
-    # Spectral checks measure nothing; they run through `spectra`.
-    measured = tuple(name for name in EXPERIMENT_NAMES if name != "spectral-check")
-    p_run.add_argument("--experiment", required=True, choices=measured)
+    p_run.add_argument("--experiment", required=True, choices=_MEASURED)
     p_run.add_argument("--delta", type=float, default=0.25)
     p_run.add_argument("--angle", type=float, default=None, help="acceptance angle (radians)")
     p_run.add_argument("--shots", type=int, default=10_000)
@@ -70,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--delta", type=float, default=0.25)
     p_tr.add_argument("--out", type=Path, default=None)
 
-    sub.add_parser("list", help="list experiment names")
+    sub.add_parser("list", help="list the experiments run takes and the encodings spectra takes")
     return parser
 
 
@@ -113,8 +114,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "list":
-            for name in EXPERIMENT_NAMES:
-                print(name)
+            print("experiments (qmcmc run --experiment):", *_MEASURED, sep="\n  ")
+            print("encodings (qmcmc spectra --encoding):", *SPECTRAL_WALKS, sep="\n  ")
             return 0
         if args.command == "transpile-report":
             _emit(json.dumps(transpile_report(args.delta), indent=2, sort_keys=True), args.out)

@@ -12,7 +12,7 @@ follow one layered scheme:
   zero-norm branch cutoff of a projection;
 - algebraic identity checks at 1e-10: detailed balance, symmetry, unitarity
   and isometry, stationarity and the state norm;
-- state-preparation inputs and spectral comparisons at 1e-9;
+- spectral comparisons at 1e-9;
 - eigenphase correspondence at 1e-8.
 
 The values are fixed; tests pin each check to its own.
@@ -29,7 +29,6 @@ UNITARY_TOL = 1e-10
 STATIONARY_TOL = 1e-10
 NORM_TOL = 1e-10
 
-PREP_INPUT_TOL = 1e-9
 SPECTRUM_TOL = 1e-9
 
 PHASE_TOL = 1e-8

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from math import acos, pi, sqrt
-from numbers import Real
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .spue import (
     szegedy_walk,
     two_state_row_prep,
 )
-from .statevector import check_shots, statevector_of
+from .statevector import check_shots, is_plain_real, statevector_of
 from .transpile import transpile_native
 
 REPORT_VERSION = 1
@@ -59,13 +58,14 @@ class ExperimentSpec:
         check_phase_bits(self.t)
         if not (_is_count(self.shots) and _is_count(self.t)):  # the report is JSON
             raise ValueError(f"shots and t must be plain ints, not {self.shots!r} and {self.t!r}")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
+        if not (is_plain_real(self.delta) and 0 < self.delta < 1):
+            raise ValueError(f"delta must be a float in (0, 1), not {self.delta!r}")
         angle = self.acceptance_angle
-        if angle is not None and (
-            not isinstance(angle, Real) or isinstance(angle, bool) or not 0 <= angle <= pi / 2
-        ):
-            raise ValueError(f"acceptance angle must be None or lie in [0, pi/2], not {angle!r}")
+        if angle is not None and not (is_plain_real(angle) and 0 <= angle <= pi / 2):
+            raise ValueError(
+                f"acceptance angle must be None or lie in [0, pi/2] as a float or int, "
+                f"not {angle!r}"
+            )
         if self.encoding not in SPECTRAL_WALKS:
             raise ValueError(f"unknown encoding {self.encoding!r}")
 

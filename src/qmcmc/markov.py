@@ -80,7 +80,7 @@ class MarkovKernel:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability vector; also owns the coherent amplitude encoding."""
+    """Probability vector over a finite state space."""
 
     weights: np.ndarray
 
@@ -93,14 +93,6 @@ class Distribution:
         if not abs(float(w.sum()) - 1.0) <= ROW_SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    def coherent(self) -> np.ndarray:
-        """Amplitude vector with entries sqrt(w(x)); unit norm by construction."""
-        return np.sqrt(self.weights)
 
 
 def _two_state_matrix(delta: float) -> np.ndarray:

@@ -52,6 +52,7 @@ from .statevector import (
     check_shots,
     from_amplitudes,
     invert_cdf,
+    is_plain_real,
     outcome_counts,
     sample_from_probabilities,
     zero_state,
@@ -80,8 +81,8 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("p1", "p2", "p_meas"):
             v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {v}")
+            if not (is_plain_real(v) and 0.0 <= v < 1.0):
+                raise ValueError(f"{name} must be a float or int in [0, 1), got {v!r}")
         if self.attach not in ("native", "logical"):
             raise ValueError("attach must be 'native' or 'logical'")
         if self.p2 < self.p1:
@@ -113,7 +114,7 @@ class NoiseModel:
             raise SchemaError(f"unknown noise model key(s): {', '.join(unknown)}")
         rates = {name: obj.get(name, 0.0) for name in ("p1", "p2", "p_meas")}
         for name, v in rates.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if not is_plain_real(v):
                 raise SchemaError(f"noise rate {name} must be a number, got {v!r}")
         try:
             rates = {name: float(v) for name, v in rates.items()}

@@ -364,7 +364,8 @@ def cswap_encoding(proposal: MarkovKernel, acceptance_angle: float) -> Spue:
     delta = sin^2(acceptance_angle).  Only the deterministic flip proposal
     is realizable as O_T here.
     """
-    if not float(np.max(np.abs(proposal.p - flip_proposal().p))) <= PROPOSAL_TOL:
+    flip = flip_proposal().p
+    if proposal.p.shape != flip.shape or not np.max(np.abs(proposal.p - flip)) <= PROPOSAL_TOL:
         raise Unsupported("controlled-swap encoding supports the flip proposal only")
     if not 0 <= acceptance_angle <= pi / 2:
         raise ValueError("acceptance angle must lie in [0, pi/2]")

@@ -1,7 +1,7 @@
 """Dense complex statevector simulator.
 
-Circuit evolution, terminal-measurement collapse, shot sampling,
-post-selection and overlaps for up to 16 qubits.  Gates reach a state only
+Circuit evolution, terminal-measurement collapse, shot sampling and
+post-selection for up to 16 qubits.  Gates reach a state only
 through a ``Circuit`` (``statevector_of``, ``simulate``); the kernel itself is
 ``qmcmc._apply``.  Basis-state indexing is fixed package-wide: with register
 order (q0, q1, ..., q_{n-1}), qubit q0 is the most significant index bit.
@@ -50,9 +50,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amps.shape[0]
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
 
 
 def zero_state(num_qubits: int) -> StateVector:
@@ -136,13 +133,6 @@ def post_select(state: StateVector, qubit: int, value: int) -> tuple[StateVector
     return _project(state, qubit, value), prob
 
 
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("overlap requires equal qubit counts")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 def sample(
     state: StateVector, qubits: tuple[int, ...] | list[int], shots: int, seed: int
 ) -> dict[str, int]:
@@ -174,6 +164,15 @@ def check_shots(shots) -> None:
         raise ValueError(f"shots must be an int >= 1, not {shots!r}")
     if shots > 2**64:  # ShotStreams seats shot indices below 2**64
         raise ValueError(f"shots must be at most 2**64 (one shot stream each), not {shots}")
+
+
+def is_plain_real(value) -> bool:
+    """True for a ``float`` (``np.float64`` included) or a non-``bool`` ``int``.
+
+    Other reals are refused, not coerced: ``float(np.float32(0.1))`` is not 0.1,
+    and a report must hold the value it was given.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def invert_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 The pipeline is correctness-first: composite and multi-controlled gates are
 rewritten with standard identities (controlled-swap via CX + Toffoli, k
-controls via the square-root recursion, generic matrices via two-level
-rotations with Gray-code addressing), two-qubit gates via a fixed ZZPhase
+controls via the square-root recursion), two-qubit gates via a fixed ZZPhase
 template, and single-qubit gates via ZYZ Euler angles (Barenco et al. 1995,
 "Elementary gates for quantum computation").  Lowering is one recursive pass:
 every rule yields gates with fewer controls or fewer targets, or native ones,
@@ -23,6 +22,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from .circuit import Circuit, GateApplication
+from .errors import Unsupported
 
 NATIVE_KINDS = {"phasedx", "rz", "zzphase", "measure"}
 
@@ -50,7 +50,9 @@ def transpile_native(
     """Rewrite a circuit over {PhasedX, Rz, ZZPhase, measure}.
 
     The output is unitary-equivalent to the input up to global phase
-    (measurement-free case); measurements pass through in place.
+    (measurement-free case); measurements pass through in place.  A
+    ``unitary`` op on more than one target has no rule and raises
+    ``Unsupported``.
     """
     ops = _merged([g for op in circuit.ops for g in _lowered(op)])
     out = Circuit(circuit.qubits).extend(ops).freeze()
@@ -71,8 +73,8 @@ def _lowered(op: GateApplication) -> list[GateApplication]:
     if op.kind in NATIVE_KINDS and not op.controls:
         return [op]
     if op.kind == "unitary" and len(op.targets) > 1:
-        pieces = _lower_generic(op)
-    elif op.controls:
+        raise Unsupported(f"no native lowering for a {len(op.targets)}-target unitary op")
+    if op.controls:
         pieces = _lower_controlled(op)
     else:
         pieces = _lower_uncontrolled(op)
@@ -215,103 +217,6 @@ def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
     t_mat, q = schur(u, output="complex")
     roots = np.exp(0.5j * np.angle(np.diagonal(t_mat)))
     return q @ np.diag(roots) @ q.conj().T
-
-
-# -- generic matrices: two-level decomposition -------------------------------
-
-
-def _lower_generic(op: GateApplication) -> list[GateApplication]:
-    """Multi-target matrix as two-level rotations, each keeping the op's controls."""
-    pieces = _two_level_ops(op.matrix, op.targets)
-    if op.controls:
-        pieces = [
-            GateApplication(g.kind, g.targets, g.controls + op.controls, g.params, g.matrix)
-            for g in pieces
-        ]
-    return pieces
-
-
-def _two_level_ops(u: np.ndarray, qubits: tuple[str, ...]) -> list[GateApplication]:
-    """Decompose a d x d unitary into two-level rotations on basis pairs."""
-    d = u.shape[0]
-    m = np.array(u, dtype=complex)
-    rotations: list[tuple[int, int, np.ndarray]] = []
-    for j in range(d - 1):
-        for i in range(d - 1, j, -1):
-            a, b = m[j, j], m[i, j]
-            if abs(b) < 1e-14:
-                continue
-            r = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            block = np.array([[np.conj(a), np.conj(b)], [b, -a]]) / r
-            g = np.eye(d, dtype=complex)
-            g[j, j], g[j, i] = block[0, 0], block[0, 1]
-            g[i, j], g[i, i] = block[1, 0], block[1, 1]
-            m = g @ m
-            rotations.append((j, i, block))
-    # m is now diag(1, ..., 1, e^{i phi}) up to numerical noise.
-    ops: list[GateApplication] = []
-    phi = float(np.angle(m[d - 1, d - 1]))
-    if abs(phi) > _ANGLE_EPS:
-        # Index d-1 is all-ones, so a plain multi-controlled phase suffices.
-        ops.append(GateApplication("phase", (qubits[-1],), tuple(qubits[:-1]), (phi,)))
-    for j, i, block in reversed(rotations):
-        ops.extend(_two_level_gate(block.conj().T, j, i, qubits))
-    return ops
-
-
-def _two_level_gate(
-    block: np.ndarray, idx_a: int, idx_b: int, qubits: tuple[str, ...]
-) -> list[GateApplication]:
-    """Unitary acting as ``block`` on basis pair (idx_a, idx_b), identity elsewhere.
-
-    ``block`` rows/columns are ordered (idx_a, idx_b).  Realized by Gray-walking
-    idx_a next to idx_b with value-controlled X transpositions, applying a
-    value-controlled single-qubit gate on the one differing bit, and undoing
-    the walk.  Each transposition is self-inverse, so the undo is the same
-    gate sequence in reverse unit order.
-    """
-    n = len(qubits)
-
-    def bit(idx: int, q: int) -> int:
-        return (idx >> (n - 1 - q)) & 1
-
-    diff = [q for q in range(n) if bit(idx_a, q) != bit(idx_b, q)]
-    walk_units: list[list[GateApplication]] = []
-    current = idx_a
-    for q in diff[:-1]:
-        walk_units.append(_mc_gate_at(current, q, None, qubits))
-        current ^= 1 << (n - 1 - q)
-    pivot = diff[-1]
-    # ``current`` and idx_b now differ only at ``pivot``; orient the block so
-    # its first row corresponds to the pivot-bit-0 state.
-    if bit(current, pivot) == 1:
-        block = block[np.ix_([1, 0], [1, 0])]
-    core = _mc_gate_at(idx_b, pivot, block, qubits)
-    flat = [g for unit in walk_units for g in unit]
-    undo = [g for unit in reversed(walk_units) for g in unit]
-    return flat + core + undo
-
-
-def _mc_gate_at(
-    index: int, target: int, block: np.ndarray | None, qubits: tuple[str, ...]
-) -> list[GateApplication]:
-    """Gate on ``target`` controlled on every other qubit matching ``index``.
-
-    Value-0 controls are X-conjugated.  ``block=None`` means an X gate.
-    """
-    n = len(qubits)
-    wraps, controls = [], []
-    for q in range(n):
-        if q == target:
-            continue
-        controls.append(qubits[q])
-        if (index >> (n - 1 - q)) & 1 == 0:
-            wraps.append(GateApplication("x", (qubits[q],)))
-    if block is None:
-        core = GateApplication("x", (qubits[target],), tuple(controls))
-    else:
-        core = GateApplication("unitary", (qubits[target],), tuple(controls), matrix=block)
-    return wraps + [core] + list(reversed(wraps))
 
 
 # -- cleanup -----------------------------------------------------------------

@@ -76,6 +76,13 @@ def qpe_point_mass_distribution(phase: float, t: int) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
+def householder_prep(probabilities, qubits) -> Circuit:
+    """|0..0> -> sum_x sqrt(p(x))|x> as one gate: I - 2ww^dag/|w|^2 with w = e0 - sqrt(p)."""
+    w = -np.sqrt(np.asarray(probabilities, dtype=float))
+    w[0] += 1.0
+    return Circuit(qubits).unitary(np.eye(len(w)) - 2 * np.outer(w, w) / (w @ w), qubits).freeze()
+
+
 def reflection_walk_circuit(prep: Circuit, flag: str) -> Circuit:
     """Qubitized walk of the reflection about prep|0> against the flag's |0>.
 

@@ -14,7 +14,6 @@ from qmcmc.algorithms import (
     prepare_stationary,
     qae_mean,
     qpe_circuit,
-    state_prep_circuit,
 )
 from qmcmc.circuit import Circuit, unitary_of
 from qmcmc.errors import NotUnitary
@@ -30,6 +29,7 @@ from qmcmc.statevector import (
 
 from conftest import (
     haar_unitary,
+    householder_prep,
     qpe_point_mass_distribution,
     random_reversible_kernel,
     reflection_walk_circuit,
@@ -60,18 +60,6 @@ class TestFunctionOracle:
         assert abs(u[2, 2]) == pytest.approx(1.0)  # |1,0> -> |1,0>
 
 
-class TestStatePrep:
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_qubits=st.integers(1, 3))
-    def test_amplitude_tree(self, seed, n_qubits):
-        rng = np.random.default_rng(seed)
-        probs = rng.uniform(0.01, 1, size=2**n_qubits)
-        probs /= probs.sum()
-        circ = state_prep_circuit(probs, [f"q{i}" for i in range(n_qubits)])
-        state = statevector_of(circ)
-        assert np.max(np.abs(state.amps - np.sqrt(probs))) < 1e-10
-
-
 class TestReflectionSpectrum:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_qubits=st.integers(1, 3))
@@ -86,7 +74,7 @@ class TestReflectionSpectrum:
         oracle = FunctionOracle.from_table(f, n_qubits)
         names = [f"x{i}" for i in range(n_qubits)]
         prep = Circuit(names + ["f"])
-        prep.extend(state_prep_circuit(pi, names).ops)
+        prep.extend(householder_prep(pi, names).ops)
         prep.extend(oracle.circuit.ops)
         u = unitary_of(prep)
         psi = u[:, 0]
@@ -250,7 +238,7 @@ class TestQaeMean:
         pi_state = from_amplitudes(np.sqrt(probs))
         hist = qae_mean(pi_state, oracle, t=4, shots=3000, seed=6)
         prep = Circuit(["x0", "f"])
-        prep.extend(state_prep_circuit(probs, ["x0"]).ops)
+        prep.extend(householder_prep(probs, ["x0"]).ops)
         prep.extend(oracle.circuit.ops)
         walk = reflection_walk_circuit(prep.freeze(), "f")
         entangled = from_amplitudes(oracle.matrix() @ np.kron(pi_state.amps, [1.0, 0.0]))
@@ -312,7 +300,7 @@ class TestQaeMean:
     def test_reflection_walk_circuit_matches_dense(self):
         oracle = FunctionOracle.from_table([0.0, 1.0])
         prep = Circuit(["x", "f"])
-        prep.extend(state_prep_circuit([0.5, 0.5], ["x"]).ops)
+        prep.extend(householder_prep([0.5, 0.5], ["x"]).ops)
         prep.extend(oracle.circuit.renamed({"x0": "x"}).ops)
         walk = reflection_walk_circuit(prep, "f")
         psi = unitary_of(prep)[:, 0]

@@ -7,10 +7,22 @@ from hypothesis import strategies as st
 from qmcmc.cli import main
 
 
-def test_list(capsys):
+def test_list(tmp_path, capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "lcu-state-prep" in out and "dual-overlap" in out
+    # Every name listed under a label is one its subcommand accepts.
+    lines = out.splitlines()
+    split = lines.index("encodings (qmcmc spectra --encoding):")
+    assert lines[0] == "experiments (qmcmc run --experiment):"
+    experiments = [line.strip() for line in lines[1:split]]
+    encodings = [line.strip() for line in lines[split + 1 :]]
+    assert (len(experiments), len(encodings)) == (6, 4)
+    out_file = str(tmp_path / "out.json")
+    for name in experiments:
+        assert main(["run", "--experiment", name, "--shots", "1", "--out", out_file]) == 0
+    for encoding in encodings:
+        assert main(["spectra", "--encoding", encoding, "--out", out_file]) == 0
 
 
 def test_run_json_report(tmp_path, capsys):

@@ -57,6 +57,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="acceptance angle must be None or lie in"):
             ExperimentSpec("cswap-state-prep", acceptance_angle=angle)
 
+    # The report holds the spec as given, so other reals are refused, not coerced.
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("delta", np.float32(0.25), "delta must be a float"),
+            ("delta", "0.25", "delta must be a float"),
+            ("delta", None, "delta must be a float"),
+            ("acceptance_angle", np.float32(0.5), "acceptance angle must be None or lie in"),
+        ],
+        ids=["delta-float32", "delta-str", "delta-None", "angle-float32"],
+    )
+    def test_non_python_reals_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec("cswap-state-prep", shots=10, **{field: value})
+
+    def test_numpy_float64_angle_reports(self):
+        spec = ExperimentSpec("cswap-state-prep", acceptance_angle=np.float64(0.5), shots=10)
+        assert json.loads(run(spec).to_json())["spec"]["acceptance_angle"] == 0.5
+
     def test_unknown_encoding(self):
         with pytest.raises(ValueError, match="unknown encoding 'bogus'"):
             ExperimentSpec("spectral-check", encoding="bogus")

@@ -232,9 +232,3 @@ def test_metropolis_rule_stationary_property(seed, n):
     target = Distribution(target / target.sum())
     chain = metropolis_hastings(proposal, metropolis_acceptance(target))
     assert np.max(np.abs(stationary(chain).weights - target.weights)) < 1e-9
-
-
-def test_coherent_encoding_unit_norm(rng):
-    for n in (2, 5, 8):
-        _, pi = random_reversible_kernel(rng, n)
-        assert np.linalg.norm(pi.coherent()) == pytest.approx(1.0, abs=1e-14)

@@ -13,11 +13,13 @@ from qmcmc._apply import apply_matrix
 from qmcmc.circuit import Circuit
 from qmcmc.errors import SchemaError
 from qmcmc.experiments import (
+    ExperimentSpec,
     cswap_state_prep_circuit,
     dual_eigenstate_circuits,
     dual_overlap_circuit,
     lcu_qae_circuit,
     lcu_state_prep_circuit,
+    run,
     szegedy_state_prep_circuit,
 )
 from qmcmc.noise import NoiseModel, ZERO_NOISE, apply_trajectory, sample_with_noise
@@ -95,6 +97,18 @@ class TestNoiseModel:
             NoiseModel(p1=1.5)
         with pytest.raises(ValueError):
             NoiseModel(attach="nowhere")
+
+    # Rates are reported as given, so other reals are refused, not coerced.
+    @pytest.mark.parametrize("value", [np.float32(5e-3), "0.1", None, False], ids=repr)
+    @pytest.mark.parametrize("field", ["p1", "p2", "p_meas"])
+    def test_rates_must_be_python_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a float or int"):
+            NoiseModel(**{field: value})
+
+    def test_numpy_float64_rate_reports(self):
+        model = NoiseModel(p2=np.float64(5e-3))
+        spec = ExperimentSpec("cswap-state-prep", shots=10, noise=model)
+        assert json.loads(run(spec).to_json())["spec"]["noise"]["p2"] == 5e-3
 
     def test_warns_when_p2_below_p1(self):
         with pytest.warns(UserWarning) as record:

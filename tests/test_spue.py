@@ -118,6 +118,11 @@ class TestCswapEncoding:
         with pytest.raises(Unsupported):
             cswap_encoding(two_state_kernel(0.25), np.pi / 6)
 
+    def test_unsupported_proposal_shape(self):
+        uniform = MarkovKernel(np.full((3, 3), 1 / 3))
+        with pytest.raises(Unsupported, match="flip proposal only"):
+            cswap_encoding(uniform, np.pi / 6)
+
     def test_dual_experiment_angle_cross_check(self):
         # acceptance angle pi/4 gives the delta = 1/2 kernel
         a = encoded_operator(cswap_encoding(FLIP, np.pi / 4))

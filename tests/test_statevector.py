@@ -11,7 +11,6 @@ from qmcmc.statevector import (
     StateVector,
     basis_state,
     from_amplitudes,
-    overlap,
     post_select,
     sample,
     simulate,
@@ -117,7 +116,7 @@ class TestSampling:
         from qmcmc.rng import shot_rng
 
         state = from_amplitudes(np.array([1, 1, 1, 1]) / 2)
-        probs = state.probabilities()
+        probs = np.abs(state.amps) ** 2
         cum = np.cumsum(probs)
         seq = {}
         for s in range(200):
@@ -138,7 +137,7 @@ class TestSampling:
             state = from_amplitudes(amps / np.linalg.norm(amps))
             hist = sample(state, [0, 1, 2], 100_000, seed=i)
             observed = np.array([hist.get(format(k, "03b"), 0) for k in range(8)])
-            expected = state.probabilities() * 100_000
+            expected = np.abs(state.amps) ** 2 * 100_000
             keep = expected > 1e-3
             chi2 = ((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum()
             pvalue = stats.chi2.sf(chi2, keep.sum() - 1)
@@ -190,17 +189,3 @@ class TestCapacity:
     def test_norm_validation(self):
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))
-
-
-class TestOverlap:
-    def test_self_overlap_unit(self, rng):
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = from_amplitudes(amps / np.linalg.norm(amps))
-        assert overlap(state, state) == pytest.approx(1.0)
-
-    def test_orthogonal_basis_states(self):
-        assert overlap(basis_state(2, 1), basis_state(2, 2)) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            overlap(zero_state(1), zero_state(2))

@@ -12,7 +12,7 @@ A NaN deviation fails every check.
 import numpy as np
 import pytest
 
-from qmcmc.algorithms import FunctionOracle, qae_mean, state_prep_circuit
+from qmcmc.algorithms import FunctionOracle, qae_mean
 from qmcmc.circuit import GateApplication
 from qmcmc.errors import (
     ConstructionInvalid,
@@ -114,11 +114,10 @@ def _qae_mean_of_nan_state():
     "call,error,match",
     [
         (_qae_mean_of_nan_state, ValueError, None),
-        (lambda: state_prep_circuit([NAN, NAN], ["q"]), ValueError, None),
         (lambda: MarkovKernel.from_json('{"n": 2, "p": [[NaN, NaN], [NaN, NaN]]}'), SchemaError, None),
         (lambda: FunctionOracle.from_table([NAN, 1.0], 1), ValueError, r"must lie in \[0, 1\]"),
     ],
-    ids=["qae-mean", "state-prep-circuit", "kernel-json", "oracle-table"],
+    ids=["qae-mean", "kernel-json", "oracle-table"],
 )
 def test_nan_input_raises(call, error, match):
     with pytest.raises(error, match=match):
