@@ -17,9 +17,10 @@ slice, with its targets renumbered inside that slice, on
 and the ``flat @ mat.T`` product, on the same layout as ``np.moveaxis``
 would give, so amplitudes do not depend on whether a plan was cached.
 
-The module also owns the dense-matrix rules that other modules share: the
-byte budget ``DENSE_BYTES`` and its one comparison, the Gram deviation
-behind every unitarity and isometry check, and the read-only array copy.
+The module also owns the rules that other modules share: the byte budget
+``DENSE_BYTES`` and its one comparison, the Gram deviation behind every
+unitarity and isometry check, the one number-type rule for gate parameters,
+spec fields and noise rates, and the read-only array copy.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ def check_dense_bytes(nbytes: int, holds: str, excess: str) -> None:
 def gram_deviation(m: np.ndarray) -> float:
     """``max |m^dag m - I|``: how far ``m`` is from unitary, or from orthonormal columns."""
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
+
+
+def is_plain_real(value) -> bool:
+    """True for a ``float`` (``np.float64`` included) or a non-``bool`` ``int``.
+
+    Other reals are refused, not coerced: ``float(np.float32(0.1))`` is not 0.1,
+    and a report must hold the value it was given.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def readonly(a, dtype=float) -> np.ndarray:

@@ -26,7 +26,7 @@ from numbers import Integral
 import numpy as np
 
 from ._apply import check_dense_bytes, evolve, gram_deviation
-from .circuit import _FIXED_1Q, Circuit, controlled, unitary_of
+from .circuit import _FIXED, Circuit, controlled, unitary_of
 from .config import UNITARY_TOL
 from .errors import NotUnitary
 from .spue import WalkOperator
@@ -228,7 +228,7 @@ def prepare_stationary(
         raise ValueError("reflection power must be >= 1")
     w_pow = np.linalg.matrix_power(walk.total, reflection_power)
     system = tuple(range(1, initial.num_qubits + 1))
-    h = _FIXED_1Q["h"]
+    h = _FIXED["h"]
     gates = ((h, (0,), ()), (w_pow, system, (0,)), (h, (0,), ()))
     state = from_amplitudes(evolve(_padded(initial, 1), gates).reshape(-1))
     selected, prob = post_select(state, 0, 0)

@@ -18,30 +18,28 @@ both, so every circuit is a unitary gate list followed by a readout, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import cos, sin
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._apply import Gate, evolve, gram_deviation, readonly
+from ._apply import Gate, check_dense_bytes, evolve, gram_deviation, is_plain_real, readonly
 from .config import UNITARY_TOL
-from .errors import AddressingError, NotUnitary, SchemaError
+from .errors import AddressingError, NotUnitary, QmcmcError, SchemaError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
 # Shared by every op of their kind and read by noise and algorithms, so read-only.
-_FIXED_1Q = {
+_FIXED = {
     "h": readonly([[_SQ2, _SQ2], [_SQ2, -_SQ2]], complex),
     "x": readonly([[0, 1], [1, 0]], complex),
     "y": readonly([[0, -1j], [1j, 0]], complex),
     "z": readonly([[1, 0], [0, -1]], complex),
     "s": readonly([[1, 0], [0, 1j]], complex),
     "sdg": readonly([[1, 0], [0, -1j]], complex),
-}
-
-_FIXED_2Q = {
     "cx": readonly([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], complex),
     "cz": readonly(np.diag([1, 1, 1, -1]), complex),
     "swap": readonly([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], complex),
@@ -83,6 +81,12 @@ def _zzphase(gamma: float) -> np.ndarray:
     return np.diag([a, b, b, a])
 
 
+# kind -> builder of the target matrix from the op's parameters.
+_PARAMETRIC = {
+    "rx": _rx, "ry": _ry, "rz": _rz, "phase": _phase, "phasedx": _phasedx, "zzphase": _zzphase,
+}
+
+
 @dataclass(frozen=True, eq=False)
 class GateApplication:
     """One gate acting on named target qubits, with optional extra controls."""
@@ -98,12 +102,14 @@ class GateApplication:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "controls", tuple(self.controls))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        params = tuple(self.params)
+        # Finite floats and the ints that convert to one; nothing else is coerced.
+        if not all(is_plain_real(p) and abs(p) <= sys.float_info.max for p in params):
+            raise ValueError(f"{self.kind} parameters must be finite floats or ints: {params!r}")
+        object.__setattr__(self, "params", tuple(float(p) for p in params))
         n_targets, n_params = GATE_SIGNATURES[self.kind]
         if len(self.params) != n_params:
             raise ValueError(f"{self.kind} takes {n_params} parameter(s)")
-        if any(not np.isfinite(p) for p in self.params):
-            raise ValueError(f"{self.kind} received a non-finite parameter")
         if self.kind == "unitary":
             if self.matrix is None:
                 raise ValueError("unitary kind requires an explicit matrix")
@@ -131,43 +137,25 @@ class GateApplication:
 
     def base_matrix(self) -> np.ndarray:
         """Unitary on the target qubits only (controls not expanded)."""
-        if self.kind in _FIXED_1Q:
-            return _FIXED_1Q[self.kind]
-        if self.kind in _FIXED_2Q:
-            return _FIXED_2Q[self.kind]
-        if self.kind == "rx":
-            return _rx(*self.params)
-        if self.kind == "ry":
-            return _ry(*self.params)
-        if self.kind == "rz":
-            return _rz(*self.params)
-        if self.kind == "phase":
-            return _phase(*self.params)
-        if self.kind == "phasedx":
-            return _phasedx(*self.params)
-        if self.kind == "zzphase":
-            return _zzphase(*self.params)
-        if self.kind == "unitary":
-            return self.matrix
-        raise NotUnitary(f"{self.kind} has no unitary matrix")
+        if self.kind in _FIXED:
+            return _FIXED[self.kind]
+        if self.kind in _PARAMETRIC:
+            return _PARAMETRIC[self.kind](*self.params)
+        if self.matrix is None:
+            raise NotUnitary(f"{self.kind} has no unitary matrix")
+        return self.matrix
 
     def inverse(self) -> "GateApplication":
+        """The adjoint: first parameter negated, s and sdg swapped, matrix conjugate-transposed."""
         if self.kind == "measure":
             raise NotUnitary("measure is not invertible")
-        if self.kind == "s":
-            return GateApplication("sdg", self.targets, self.controls)
-        if self.kind == "sdg":
-            return GateApplication("s", self.targets, self.controls)
-        if self.kind in ("rx", "ry", "rz", "phase", "zzphase"):
-            return GateApplication(self.kind, self.targets, self.controls, (-self.params[0],))
-        if self.kind == "phasedx":
-            theta, phi = self.params
-            return GateApplication(self.kind, self.targets, self.controls, (-theta, phi))
-        if self.kind == "unitary":
-            return GateApplication(
-                "unitary", self.targets, self.controls, matrix=self.matrix.conj().T
-            )
-        return self  # h, x, y, z, cx, cz, swap are self-inverse
+        if self.params:
+            return replace(self, params=(-self.params[0],) + self.params[1:])
+        if self.kind in ("s", "sdg"):
+            return replace(self, kind={"s": "sdg", "sdg": "s"}[self.kind])
+        if self.matrix is not None:
+            return replace(self, matrix=self.matrix.conj().T)
+        return self  # the other fixed kinds are self-inverse
 
 
 class Circuit:
@@ -336,18 +324,12 @@ class Circuit:
 
     def renamed(self, mapping: dict[str, str]) -> "Circuit":
         """Same gates over renamed qubits (identity for unmapped names)."""
-        new_names = tuple(mapping.get(q, q) for q in self.qubits)
-        out = Circuit(new_names)
+        def rename(names):
+            return tuple(mapping.get(q, q) for q in names)
+
+        out = Circuit(rename(self.qubits))
         for op in self._ops:
-            out.append(
-                GateApplication(
-                    op.kind,
-                    tuple(mapping.get(q, q) for q in op.targets),
-                    tuple(mapping.get(q, q) for q in op.controls),
-                    op.params,
-                    op.matrix,
-                )
-            )
+            out.append(replace(op, targets=rename(op.targets), controls=rename(op.controls)))
         return out
 
     def inverse(self) -> "Circuit":
@@ -378,8 +360,13 @@ class Circuit:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Circuit":
+        def names(value) -> tuple[str, ...]:
+            if not (isinstance(value, list) and all(isinstance(q, str) for q in value)):
+                raise TypeError(f"expected a list of qubit names, got {value!r}")
+            return tuple(value)
+
         try:
-            circ = cls(obj["qubits"])
+            circ = cls(names(obj["qubits"]))
             for entry in obj["ops"]:
                 matrix = None
                 if "matrix" in entry:
@@ -388,25 +375,36 @@ class Circuit:
                     )
                 circ._add(
                     entry["kind"],
-                    tuple(entry["targets"]),
-                    tuple(entry.get("controls", ())),
+                    names(entry["targets"]),
+                    names(entry.get("controls", [])),
                     tuple(entry.get("params", ())),
                     matrix,
                 )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, QmcmcError) as exc:
             raise SchemaError(f"malformed circuit serialization: {exc}") from exc
         return circ
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
-        return cls.from_dict(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"circuit serialization is not JSON: {exc}") from exc
+        return cls.from_dict(obj)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the ordered gate product; measurements are rejected."""
+    """Dense unitary of the ordered gate product; measurements are rejected.
+
+    Its ``16 * 4**n`` bytes must fit in ``DENSE_BYTES``, so circuits are
+    limited to 11 qubits.
+    """
     if circuit.has_measurement():
         raise NotUnitary("circuit contains measurements")
-    dim = 2**circuit.num_qubits
+    n = circuit.num_qubits
+    holds = "a circuit unitary holds 2**n x 2**n amplitudes"
+    check_dense_bytes(16 * 4**n, holds, f"{n} qubits exceed")
+    dim = 2**n
     # Row b of the batch is the evolution of basis state |b>; the circuit
     # unitary has those as columns.
     batch = np.eye(dim, dtype=complex).reshape((dim,) + (2,) * circuit.num_qubits)
@@ -421,7 +419,5 @@ def controlled(circuit: Circuit, control: str) -> Circuit:
         raise NotUnitary("cannot control a circuit containing measurements")
     out = Circuit((control,) + circuit.qubits)
     for op in circuit.ops:
-        out.append(
-            GateApplication(op.kind, op.targets, op.controls + (control,), op.params, op.matrix)
-        )
+        out.append(replace(op, controls=op.controls + (control,)))
     return out

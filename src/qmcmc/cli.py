@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--angle", type=float, default=None, help="acceptance angle (radians)")
     p_run.add_argument("--shots", type=int, default=10_000)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--t", type=int, default=2, help="phase register bits")
     p_run.add_argument("--noise", type=Path, default=None, help="noise model JSON file")
     p_run.add_argument("--out", type=Path, default=None)
     p_run.add_argument("--format", choices=("json", "csv", "table"), default="json")
@@ -148,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
             shots=args.shots,
             seed=args.seed,
             noise=noise,
-            t=args.t,
         )
         report = run_with_comparison(spec, args.compare_to)
         if args.format == "json":

@@ -17,6 +17,7 @@ from math import acos, pi, sqrt
 
 import numpy as np
 
+from ._apply import is_plain_real
 from .algorithms import FunctionOracle, check_phase_bits, inverse_qft_ops, mean_estimate_from_phase
 from .circuit import Circuit
 from .errors import SchemaError
@@ -32,7 +33,7 @@ from .spue import (
     szegedy_walk,
     two_state_row_prep,
 )
-from .statevector import check_shots, is_plain_real, statevector_of
+from .statevector import check_shots, statevector_of
 from .transpile import transpile_native
 
 REPORT_VERSION = 1

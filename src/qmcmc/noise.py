@@ -42,9 +42,10 @@ from functools import lru_cache
 import numpy as np
 
 from ._apply import (
-    Gate, apply_matrix, apply_matrix_nd, check_dense_bytes, evolve, marginal_probabilities
+    Gate, apply_matrix, apply_matrix_nd, check_dense_bytes, evolve, is_plain_real,
+    marginal_probabilities,
 )
-from .circuit import _FIXED_1Q, Circuit
+from .circuit import _FIXED, Circuit
 from .errors import SchemaError
 from .rng import ShotStreams, shot_rng
 from .statevector import (
@@ -52,13 +53,12 @@ from .statevector import (
     check_shots,
     from_amplitudes,
     invert_cdf,
-    is_plain_real,
     outcome_counts,
     sample_from_probabilities,
     zero_state,
 )
 
-_PAULI_1Q = [_FIXED_1Q["x"], _FIXED_1Q["y"], _FIXED_1Q["z"]]
+_PAULI_1Q = [_FIXED["x"], _FIXED["y"], _FIXED["z"]]
 
 # Amplitude bytes of one batch of fault patterns evolved together.
 _BATCH_BYTES = 64 << 20

@@ -104,10 +104,6 @@ class Spue:
             )
         encoded_operator(self)  # raises NotSymmetric on a broken encoding
 
-    @property
-    def num_qubits(self) -> int:
-        return int(np.log2(self.isometry.space_dim))
-
 
 @dataclass(frozen=True, eq=False)
 class WalkOperator:
@@ -116,10 +112,6 @@ class WalkOperator:
     spue: Spue
     total: np.ndarray
     circuit: Circuit | None = None
-
-    @property
-    def num_qubits(self) -> int:
-        return self.spue.num_qubits
 
 
 def encoded_operator(spue: Spue) -> np.ndarray:
@@ -176,7 +168,6 @@ class SpectralEntry:
 @dataclass(frozen=True)
 class SpectralReport:
     entries: tuple[SpectralEntry, ...]
-    matched_phases: tuple[float, ...]
     violations: tuple[str, ...]
 
     @property
@@ -236,9 +227,8 @@ def check_spectral_correspondence(walk: WalkOperator) -> SpectralReport:
                 f"eigenvalue {entry.eigenvalue:.6f}: phase error {entry.phase_error:.2e}, "
                 f"subspace residual {entry.subspace_residual:.2e}"
             )
-    matched, greedy_violations = _greedy_phase_match(w, predicted, PHASE_TOL)
-    violations.extend(greedy_violations)
-    return SpectralReport(tuple(entries), tuple(matched), tuple(violations))
+    violations.extend(_greedy_phase_match(w, predicted, PHASE_TOL))
+    return SpectralReport(tuple(entries), tuple(violations))
 
 
 def _orthonormalize(cols: np.ndarray) -> np.ndarray:
@@ -247,10 +237,8 @@ def _orthonormalize(cols: np.ndarray) -> np.ndarray:
     return q[:, keep]
 
 
-def _greedy_phase_match(
-    w: np.ndarray, predicted: Sequence[float], tol: float
-) -> tuple[list[float], list[str]]:
-    """Match predicted eigenphases to the walk spectrum, nearest first.
+def _greedy_phase_match(w: np.ndarray, predicted: Sequence[float], tol: float) -> list[str]:
+    """Match predicted eigenphases to the walk spectrum, nearest first; return the misses.
 
     Greedy assignment with collision detection: every predicted phase must
     claim a distinct walk eigenphase within tolerance (handles degenerate
@@ -258,7 +246,6 @@ def _greedy_phase_match(
     """
     actual = np.angle(np.linalg.eigvals(w))
     used = np.zeros(len(actual), dtype=bool)
-    matched = []
     violations = []
     for p in sorted(predicted):
         diffs = np.abs(np.angle(np.exp(1j * (actual - p))))
@@ -268,8 +255,7 @@ def _greedy_phase_match(
             violations.append(f"no unclaimed walk phase within {tol:.1e} of {p:.6f}")
         else:
             used[k] = True
-            matched.append(float(actual[k]))
-    return matched, violations
+    return violations
 
 
 # -- concrete encodings --------------------------------------------------------

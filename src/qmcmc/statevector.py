@@ -166,15 +166,6 @@ def check_shots(shots) -> None:
         raise ValueError(f"shots must be at most 2**64 (one shot stream each), not {shots}")
 
 
-def is_plain_real(value) -> bool:
-    """True for a ``float`` (``np.float64`` included) or a non-``bool`` ``int``.
-
-    Other reals are refused, not coerced: ``float(np.float32(0.1))`` is not 0.1,
-    and a report must hold the value it was given.
-    """
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def invert_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Outcome index for each uniform in ``u`` under the law ``probs``.
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from math import atan2, pi
 
 import numpy as np
-from scipy.linalg import schur
 
 from .circuit import Circuit, GateApplication
 from .errors import Unsupported
@@ -214,6 +213,8 @@ def _barenco(op: GateApplication) -> list[GateApplication]:
 
 def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
     """Principal square root of a unitary via complex Schur form."""
+    from scipy.linalg import schur  # imported here so that importing qmcmc does not load SciPy
+
     t_mat, q = schur(u, output="complex")
     roots = np.exp(0.5j * np.angle(np.diagonal(t_mat)))
     return q @ np.diag(roots) @ q.conj().T

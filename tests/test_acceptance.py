@@ -19,7 +19,6 @@ from qmcmc.experiments import (
 )
 from qmcmc.markov import (
     Distribution,
-    MarkovKernel,
     discriminant,
     spectral_gap,
     stationary,
@@ -29,7 +28,6 @@ from qmcmc.noise import NoiseModel, ZERO_NOISE, sample_with_noise
 from qmcmc.spue import (
     check_spectral_correspondence,
     cswap_walk,
-    dual_walk,
     lcu_walk,
     szegedy_walk,
     walk_operator,

@@ -31,7 +31,6 @@ from conftest import (
     haar_unitary,
     householder_prep,
     qpe_point_mass_distribution,
-    random_reversible_kernel,
     reflection_walk_circuit,
 )
 

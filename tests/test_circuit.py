@@ -1,15 +1,26 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmcmc.circuit import Circuit, GateApplication, controlled, unitary_of
-from qmcmc.errors import AddressingError, NotUnitary
+from qmcmc.errors import AddressingError, NotUnitary, SchemaError
 
 from conftest import phases_equal_up_to_global, random_circuit
 
 
 class TestUnitaryOf:
+    def test_wide_circuit_rejected_before_allocation(self, monkeypatch):
+        def evolve(batch, gates):
+            raise AssertionError("unitary_of evolved a circuit over its dense budget")
+
+        monkeypatch.setattr("qmcmc.circuit.evolve", evolve)
+        wide = Circuit([f"q{i}" for i in range(12)])
+        with pytest.raises(ValueError, match="12 qubits exceed its 64 MiB budget"):
+            unitary_of(wide)
+
     def test_empty_circuit_is_identity(self):
         assert np.allclose(unitary_of(Circuit(["a", "b"])), np.eye(4))
 
@@ -101,7 +112,46 @@ class TestZeroReflection:
         assert np.max(np.abs(unitary_of(circ) - expected)) < 1e-12
 
 
+def _circuit_dict(*ops, qubits=("a", "b")) -> dict:
+    return {"qubits": list(qubits), "ops": list(ops)}
+
+
+MALFORMED_CIRCUITS = {
+    "unknown-kind": _circuit_dict({"kind": "toffoli", "targets": ["a"]}),
+    "text-param": _circuit_dict({"kind": "rz", "targets": ["a"], "params": ["x"]}),
+    "numeric-text-param": _circuit_dict({"kind": "rz", "targets": ["a"], "params": ["0.5"]}),
+    "bool-param": _circuit_dict({"kind": "rz", "targets": ["a"], "params": [True]}),
+    "non-finite-param": _circuit_dict({"kind": "rz", "targets": ["a"], "params": [float("inf")]}),
+    "huge-int-param": _circuit_dict({"kind": "rz", "targets": ["a"], "params": [10**400]}),
+    "gate-after-measure": _circuit_dict(
+        {"kind": "measure", "targets": ["a"]}, {"kind": "x", "targets": ["b"]}
+    ),
+    "undeclared-qubit": _circuit_dict({"kind": "x", "targets": ["c"]}),
+    "duplicate-qubit-names": _circuit_dict(qubits=("a", "a")),
+    "qubits-as-text": {"qubits": "ab", "ops": []},
+    "numeric-qubit-names": _circuit_dict(qubits=(0, 1)),
+    "targets-as-text": _circuit_dict({"kind": "x", "targets": "a"}),
+    "controls-as-text": _circuit_dict({"kind": "x", "targets": ["a"], "controls": "b"}),
+    "qubit-twice-in-one-gate": _circuit_dict({"kind": "cx", "targets": ["a", "a"]}),
+    "non-unitary-matrix": _circuit_dict(
+        {"kind": "unitary", "targets": ["a"], "matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}
+    ),
+}
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("obj", list(MALFORMED_CIRCUITS.values()), ids=list(MALFORMED_CIRCUITS))
+    def test_malformed_circuit_is_schema_error(self, obj):
+        with pytest.raises(SchemaError, match="malformed circuit serialization"):
+            Circuit.from_dict(obj)
+        with pytest.raises(SchemaError, match="malformed circuit serialization"):
+            Circuit.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", ["{", "", "[1,"])
+    def test_text_that_is_not_json_is_schema_error(self, text):
+        with pytest.raises(SchemaError, match="not JSON"):
+            Circuit.from_json(text)
+
     def test_round_trip(self, rng):
         circ = random_circuit(rng, ["a", "b", "c"], depth=20)
         circ.measure("a")
@@ -120,6 +170,12 @@ class TestSerialization:
 
 
 class TestBuilderInvariants:
+    @pytest.mark.parametrize("value", [True, "0.5", np.float32(0.5), None], ids=repr)
+    def test_params_are_plain_reals(self, value):
+        # One number rule with spec fields and noise rates: nothing is coerced.
+        with pytest.raises(ValueError, match="rz parameters must be finite floats or ints"):
+            Circuit(["q"]).rz(value, "q")
+
     def test_frozen_rejects_append(self):
         circ = Circuit(["q"]).x("q").freeze()
         with pytest.raises(RuntimeError):
@@ -148,7 +204,7 @@ class TestBuilderInvariants:
         assert [op.kind for op in circ.ops] == ["h", "measure", "measure"]
         obj = circ.to_dict()
         obj["ops"].append({"kind": "x", "targets": ["b"]})
-        with pytest.raises(ValueError, match="terminal"):
+        with pytest.raises(SchemaError, match="terminal"):
             Circuit.from_dict(obj)
 
     def test_qubit_measured_twice_rejected(self):
@@ -161,7 +217,7 @@ class TestBuilderInvariants:
         assert circ.measured() == ("b", "a")
         obj = circ.to_dict()
         obj["ops"].append({"kind": "measure", "targets": ["a"]})
-        with pytest.raises(AddressingError, match="measured twice"):
+        with pytest.raises(SchemaError, match="measured twice"):
             Circuit.from_dict(obj)
 
 

@@ -141,6 +141,14 @@ def test_run_refuses_spectral_check(capsys):
     assert "invalid choice: 'spectral-check'" in capsys.readouterr().err
 
 
+def test_run_has_no_phase_bits_flag(capsys):
+    # Only lcu-qae reads t, and its pipeline is built for the spec default t = 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--experiment", "lcu-qae", "--shots", "1", "--t", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --t 2" in capsys.readouterr().err
+
+
 def _stored_report(tmp_path, experiment="lcu-state-prep") -> dict:
     out_file = tmp_path / "report.json"
     assert main([

@@ -89,7 +89,7 @@ def _logical_cswap() -> str:
 def _qpe(mode: str) -> str:
     walk = szegedy_walk(two_state_kernel(0.25))
     unitary = walk.circuit if mode == "circuit" else walk.total
-    pe = phase_estimation(unitary, basis_state(walk.num_qubits, 1), 4, 2000, 17)
+    pe = phase_estimation(unitary, basis_state(walk.circuit.num_qubits, 1), 4, 2000, 17)
     return _sha(json.dumps(sorted(pe.histogram.items())))
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qmcmc.circuit import Circuit, unitary_of
 from qmcmc.errors import NotReversible, QmcmcError, Unsupported
-from qmcmc.markov import Distribution, MarkovKernel, discriminant, stationary, two_state_kernel
+from qmcmc.markov import MarkovKernel, discriminant, two_state_kernel
 from qmcmc.spue import (
     DUAL_QUBITS,
     PartialIsometry,
