@@ -87,6 +87,11 @@ _PARAMETRIC = {
 }
 
 
+def _finite_real(value) -> bool:
+    """A finite float or an int that converts to one; nothing else is coerced."""
+    return is_plain_real(value) and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True, eq=False)
 class GateApplication:
     """One gate acting on named target qubits, with optional extra controls."""
@@ -103,8 +108,7 @@ class GateApplication:
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "controls", tuple(self.controls))
         params = tuple(self.params)
-        # Finite floats and the ints that convert to one; nothing else is coerced.
-        if not all(is_plain_real(p) and abs(p) <= sys.float_info.max for p in params):
+        if not all(map(_finite_real, params)):
             raise ValueError(f"{self.kind} parameters must be finite floats or ints: {params!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in params))
         n_targets, n_params = GATE_SIGNATURES[self.kind]
@@ -360,6 +364,11 @@ class Circuit:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Circuit":
+        def number(pair) -> complex:
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(_finite_real, pair))):
+                raise ValueError(f"matrix entry must be [re, im], both finite numbers: {pair!r}")
+            return complex(*pair)
+
         def names(value) -> tuple[str, ...]:
             if not (isinstance(value, list) and all(isinstance(q, str) for q in value)):
                 raise TypeError(f"expected a list of qubit names, got {value!r}")
@@ -370,9 +379,7 @@ class Circuit:
             for entry in obj["ops"]:
                 matrix = None
                 if "matrix" in entry:
-                    matrix = np.array(
-                        [[complex(re, im) for re, im in row] for row in entry["matrix"]]
-                    )
+                    matrix = np.array([[number(pair) for pair in row] for row in entry["matrix"]])
                 circ._add(
                     entry["kind"],
                     names(entry["targets"]),

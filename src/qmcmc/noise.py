@@ -17,16 +17,23 @@ draws altogether: it evolves one statevector and inverts the CDF with
 The batched engine separates the fault draws from state evolution.  It
 draws every shot's fault pattern, the tuple of its ``(site, pauli)`` events,
 and evolves each distinct pattern once; most shots share the fault-free
-pattern.  Patterns are evolved in the input frame: the gates act only on the
-``2**n`` basis columns of the prefix unitary, and a pattern's amplitudes
-change only at its own fault sites, so gate work does not grow with the
-pattern count.  The frame products run as stacks of small row blocks that
-OpenBLAS keeps on the calling thread, so the engine uses one core.  The frame
-takes ``16 * 4**n`` bytes, which bounds noisy sampling to 11 qubits.
-Patterns are handled in chunks whose amplitudes stay within a fixed byte
-budget, so memory grows with the budgets and the shot count rather than
-with ``shots * 2**n``.  Each shot then inverts the CDF of
-its pattern's outcome law with its own outcome uniform.
+pattern.  Shots are drawn in blocks of ``_DRAW_BLOCK``: every shot of a
+block fills one row of a reused buffer with its ``1 + m + sites`` uniforms,
+and all the fault sites of the block are screened against the rates at once,
+so a fault-free shot costs no Python work past its draw.  A shot that faults
+is re-seated just past its uniforms (``ShotStreams.shot(s, drawn=...)``) and
+draws its Pauli choices as the sequential engine does.
+
+Patterns are evolved in the input frame: the gates act only on the ``2**n``
+basis columns of the prefix unitary, and a pattern's amplitudes change only
+at its own fault sites, so gate work does not grow with the pattern count.
+The frame products run as stacks of small row blocks that OpenBLAS keeps on
+the calling thread, so the engine uses one core.  The frame takes
+``16 * 4**n`` bytes, which bounds noisy sampling to 11 qubits.  Patterns are
+handled in chunks whose amplitudes stay within a fixed byte budget, so memory
+grows with the budgets and the shot count rather than with ``shots * 2**n``.
+Each shot then inverts the CDF of its pattern's outcome law with its own
+outcome uniform.
 
 Default rates are an order-of-magnitude stand-in for trapped-ion hardware,
 not calibrated device numbers.
@@ -60,6 +67,8 @@ from .statevector import (
 
 _PAULI_1Q = [_FIXED["x"], _FIXED["y"], _FIXED["z"]]
 
+# Shots drawn into one buffer and screened for faults together.
+_DRAW_BLOCK = 64
 # Amplitude bytes of one batch of fault patterns evolved together.
 _BATCH_BYTES = 64 << 20
 # OpenBLAS runs a complex GEMM on its thread pool once m * n * k reaches
@@ -239,20 +248,9 @@ def sample_with_noise(
     check_dense_bytes(16 * 4**n, "noisy sampling holds a 2**n x 2**n frame", f"{n} qubits exceed")
 
     gates, arities, rates = _sites(circuit, model)
-    u_out = np.empty(shots)
-    flip_u = np.empty((shots, m))
-    pattern_of_shot = np.empty(shots, dtype=np.intp)
-    rows: dict[tuple[tuple[int, int], ...], int] = {}
-    streams = ShotStreams(seed)
-    for s in range(shots):
-        rng = streams.shot(s)
-        u = rng.random(1 + m + len(rates))
-        u_out[s] = u[0]
-        flip_u[s] = u[1 : 1 + m]
-        pattern = _shot_events(rng, u[1 + m :], rates, arities)
-        pattern_of_shot[s] = rows.setdefault(pattern, len(rows))
-
-    patterns = list(rows)
+    u_out, flips, pattern_of_shot, patterns = _draw_patterns(
+        seed, shots, m, model.p_meas, rates, arities
+    )
     shots_of_row = np.split(
         np.argsort(pattern_of_shot, kind="stable"), np.cumsum(np.bincount(pattern_of_shot))[:-1]
     )
@@ -265,8 +263,50 @@ def sample_with_noise(
             outcomes[group] = invert_cdf(row_probs, u_out[group])
     if model.p_meas > 0:
         weights = 1 << np.arange(m - 1, -1, -1)
-        outcomes ^= (flip_u < model.p_meas) @ weights
+        outcomes ^= flips @ weights
     return outcome_counts(outcomes, m)
+
+
+def _draw_patterns(
+    seed: int, shots: int, m: int, p_meas: float, rates: np.ndarray, arities: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[tuple[int, int], ...]]]:
+    """Outcome uniforms, readout flips and pattern row of every shot, and the
+    distinct fault patterns in order of first appearance.
+
+    Shots are drawn in blocks of ``_DRAW_BLOCK``: each shot's ``1 + m + sites``
+    uniforms fill one row of a reused buffer, and the whole block is compared
+    with the rates at once.  A fault-free shot takes the ``()`` pattern with
+    no further work.  A shot that faults is re-seated just past its uniforms
+    and draws its Pauli indices with ``_shot_events``, so every shot reads its
+    stream as ``apply_trajectory`` does.
+    """
+    width = 1 + m + len(rates)
+    u_out = np.empty(shots)
+    flips = np.empty((shots, m), dtype=bool)
+    pattern_of_shot = np.empty(shots, dtype=np.intp)
+    rows: dict[tuple[tuple[int, int], ...], int] = {}
+    streams = ShotStreams(seed)
+    buffer = np.empty((min(shots, _DRAW_BLOCK), width))
+    for first in range(0, shots, _DRAW_BLOCK):
+        block = buffer[: shots - first]
+        for s, row in enumerate(block, first):
+            streams.shot(s).random(out=row)
+        last = first + len(block)
+        u_out[first:last] = block[:, 0]
+        np.less(block[:, 1 : 1 + m], p_meas, out=flips[first:last])
+        faulted = (block[:, 1 + m :] < rates).any(axis=1)
+        visit = faulted.copy()
+        if () not in rows:
+            visit[np.argmin(faulted)] = True  # the block's first fault-free shot, if any
+        for j in np.flatnonzero(visit):
+            pattern = ()
+            if faulted[j]:
+                rng = streams.shot(first + j, drawn=width)
+                pattern = _shot_events(rng, block[j, 1 + m :], rates, arities)
+            pattern_of_shot[first + j] = rows.setdefault(pattern, len(rows))
+        if not faulted.all():
+            pattern_of_shot[first:last][~faulted] = rows[()]
+    return u_out, flips, pattern_of_shot, list(rows)
 
 
 def _evolve_patterns(

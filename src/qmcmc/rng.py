@@ -106,21 +106,41 @@ class ShotStreams:
     The noisy trajectory engine is its only batch caller: it draws
     ``1 + m + sites`` uniforms per shot, which NumPy's C generator produces
     faster than ``first_uniforms``-style vectorized rounds would.
+
+    ``shot(s, drawn=k)`` resumes the stream just past its first ``k`` raw
+    words, so its draws equal those of ``shot_rng(seed, s)`` after ``k``
+    ``random()`` calls.  Each Philox block yields four words and the first
+    draw of a seated stream increments the counter, so the resumed seat sets
+    counter word 0 to ``k // 4`` and discards ``k % 4`` words.  The engine
+    uses it to re-seat a shot whose site uniforms fired a fault for its Pauli
+    draws.
     """
 
     def __init__(self, seed):
-        self._bitgen = np.random.Philox(key=philox_key(seed))
+        key = philox_key(seed)
+        self._bitgen = np.random.Philox(key=key)
         self.generator = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
+        # A seated state: empty buffer, no spare 32-bit word, counter words 1
+        # and 3 zero.  Only words 0 and 2 change from seat to seat.  Plain
+        # lists, because the state setter reads them faster than arrays.
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": key.tolist()},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
-    def shot(self, shot_index: int) -> np.random.Generator:
+    def shot(self, shot_index: int, drawn: int = 0) -> np.random.Generator:
         if not 0 <= shot_index < 2**64:
             raise ValueError("shot_index out of range")
-        st = self._state
-        st["state"]["counter"][:] = 0
-        st["state"]["counter"][2] = shot_index  # units of 2**128 counter blocks
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
+        if not 0 <= drawn < 2**66:
+            raise ValueError("drawn out of range")
+        self._counter[0] = drawn // 4
+        self._counter[2] = shot_index  # units of 2**128 counter blocks
+        self._bitgen.state = self._state
+        if drawn % 4:
+            self._bitgen.random_raw(drawn % 4)
         return self.generator

@@ -147,6 +147,23 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="malformed circuit serialization"):
             Circuit.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            "[[[true, false], [false, false]], [[false, false], [true, false]]]",
+            '[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]',
+            "[[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]",
+            "[[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]",
+        ],
+        ids=["bools", "numeric-text", "overflow", "three-element"],
+    )
+    def test_matrix_entries_are_pairs_of_finite_numbers(self, matrix):
+        # One number rule with gate parameters: booleans are not coerced to
+        # 1 and 0, so the first matrix is not read as the identity.
+        text = '{"qubits": ["a"], "ops": [{"kind": "unitary", "targets": ["a"], "matrix": %s}]}'
+        with pytest.raises(SchemaError, match="matrix entry must be"):
+            Circuit.from_json(text % matrix)
+
     @pytest.mark.parametrize("text", ["{", "", "[1,"])
     def test_text_that_is_not_json_is_schema_error(self, text):
         with pytest.raises(SchemaError, match="not JSON"):

@@ -23,6 +23,7 @@ from qmcmc.experiments import (
     szegedy_state_prep_circuit,
 )
 from qmcmc.noise import NoiseModel, ZERO_NOISE, apply_trajectory, sample_with_noise
+from qmcmc.rng import shot_rng
 from qmcmc.statevector import sample, statevector_of, zero_state
 from qmcmc.transpile import transpile_native
 
@@ -224,8 +225,6 @@ class TestTrajectoryMechanics:
         hist = sample_with_noise(circ, model, shots, seed=3)
         # after H the ideal law is uniform; inserted X/Y/Z keep it uniform,
         # so count insertions directly from the sequential engine instead
-        from qmcmc.rng import shot_rng
-
         for s in range(shots):
             rng = shot_rng(3, s)
             rng.random()  # outcome draw
@@ -282,6 +281,46 @@ class TestMemoryBudget:
         assert sample_with_noise(circ, model, 300, seed=4) == whole
         assert max(sizes) == rows_per_chunk
         assert len(sizes) > 2
+
+
+def _shot_by_shot_patterns(circ, model, shots, seed):
+    """Distinct fault patterns in order of first appearance, one stream at a time."""
+    _, arities, rates = noise._sites(circ, model)
+    m = len(circ.measured())
+    first_seen = {}
+    for s in range(shots):
+        rng = shot_rng(seed, s)
+        u = rng.random(1 + m + len(rates))
+        first_seen.setdefault(noise._shot_events(rng, u[1 + m :], rates, arities), None)
+    return list(first_seen)
+
+
+class TestDrawBlocks:
+    CIRC = _multi_controlled_circuit()
+    MODEL = NoiseModel(p1=0.02, p2=0.1, p_meas=0.03, attach="logical")
+    SHOTS, SEED = 200, 0
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_blocks_equal_shot_by_shot_draws(self, monkeypatch, block):
+        circ, model, shots, seed = self.CIRC, self.MODEL, self.SHOTS, self.SEED
+        want = _shot_by_shot_patterns(circ, model, shots, seed)
+        # Shot 0 faults and shot 2 is the first fault-free one, so the
+        # fault-free pattern is not numbered first, and every block size
+        # here mixes faulted and fault-free shots.
+        assert want[0] != () and want.index(()) == 2
+        whole = sample_with_noise(circ, model, shots, seed)
+        handed = []
+        evolve_patterns = noise._evolve_patterns
+
+        def recording(patterns, gates, num_qubits):
+            handed.extend(patterns)
+            return evolve_patterns(patterns, gates, num_qubits)
+
+        monkeypatch.setattr(noise, "_evolve_patterns", recording)
+        monkeypatch.setattr(noise, "_DRAW_BLOCK", block)
+        hist = sample_with_noise(circ, model, shots, seed)
+        assert hist == whole == _sequential_histogram(circ, model, shots, seed)
+        assert handed == want
 
 
 def _sequential_final_state(gates, pattern, n):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmcmc.rng import first_uniforms, shot_rng
+from qmcmc.rng import ShotStreams, first_uniforms, shot_rng
 from qmcmc.statevector import invert_cdf, outcome_counts, sample_from_probabilities
 
 _SEEDS = st.one_of(
@@ -22,6 +22,31 @@ def test_first_uniforms_equal_each_shot_stream(seed, shots):
     got = first_uniforms(seed, np.array(shots, dtype=np.uint64))
     want = [shot_rng(seed, s).random() for s in shots]
     assert got.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_SEEDS,
+    shot=st.integers(0, 2**64 - 1),
+    drawn=st.integers(0, 40),
+    arities=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    integers_first=st.booleans(),
+)
+@example(seed=0, shot=0, drawn=5, arities=[1], integers_first=True)
+def test_resumed_seat_equals_stream_after_drawn_uniforms(
+    seed, shot, drawn, arities, integers_first
+):
+    # A seat that resumes past ``drawn`` uniforms continues the stream exactly,
+    # for uniforms and for the 32-bit bounded integers of the Pauli draws.
+    def tail(rng):
+        paulis = [int(rng.integers(4**a - 1)) for a in arities] if integers_first else []
+        return paulis, rng.random(3).tolist(), [int(rng.integers(4**a - 1)) for a in arities]
+
+    want = shot_rng(seed, shot)
+    want.random(drawn)
+    streams = ShotStreams(seed)
+    streams.shot(shot ^ 1).integers(3)  # a seat leaves nothing behind for the next
+    assert tail(streams.shot(shot, drawn=drawn)) == tail(want)
 
 
 def _per_shot_histogram(probs, num_bits, shots, seed):
