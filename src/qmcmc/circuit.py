@@ -121,7 +121,8 @@ class GateApplication:
             k = len(self.targets)
             if not 1 <= k <= 3 or m.shape != (2**k, 2**k):
                 raise ValueError("generic unitaries support 1 to 3 target qubits")
-            if not gram_deviation(m) <= UNITARY_TOL:
+            # Finiteness first: the Gram product of an inf entry warns before it fails.
+            if not (np.isfinite(m).all() and gram_deviation(m) <= UNITARY_TOL):
                 raise NotUnitary(f"matrix-backed gate is not unitary within {UNITARY_TOL:g}")
             object.__setattr__(self, "matrix", m)
         else:

@@ -212,12 +212,27 @@ def _barenco(op: GateApplication) -> list[GateApplication]:
 
 
 def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
-    """Principal square root of a unitary via complex Schur form."""
-    from scipy.linalg import schur  # imported here so that importing qmcmc does not load SciPy
+    """A square root of a 2x2 unitary, in closed form.
 
-    t_mat, q = schur(u, output="complex")
-    roots = np.exp(0.5j * np.angle(np.diagonal(t_mat)))
-    return q @ np.diag(roots) @ q.conj().T
+    Barenco lowering only roots single-qubit gates, so 2x2 is the only case,
+    and it needs any unitary v with v @ v = u.  The eigenvalues are
+    l1,2 = tr/2 +- disc with disc^2 = ((a - d)/2)^2 + bc, which equals
+    tr^2/4 - det but does not cancel when u is near a scalar.  With roots
+    r1,2 of l1,2, Sylvester's formula gives v = (u + r1 r2 I) / (r1 + r2).
+    The roots are the principal ones (``np.sqrt``), so v is the principal
+    root, unless they nearly cancel: that happens when l1 and l2 sit either
+    side of -1 (rz, ry or rx near 2 pi), and there r2 flips sign, so
+    |r1 + r2| >= 1 always.  The roots of X, Z and -I come out exact.  ``u``
+    must be complex, as every gate matrix is: ``np.sqrt`` of a negative
+    float is NaN.
+    """
+    (a, b), (c, d) = u
+    half_tr = (a + d) / 2
+    disc = np.sqrt(((a - d) / 2) ** 2 + b * c)
+    r1, r2 = np.sqrt(half_tr + disc), np.sqrt(half_tr - disc)
+    if abs(r1 + r2) < 1:
+        r2 = -r2
+    return (u + r1 * r2 * np.eye(2)) / (r1 + r2)
 
 
 # -- cleanup -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared generators and the unitary equivalence oracle for the test suite."""
+"""Shared generators and oracles for the test suite."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from math import pi
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.linalg import schur
 
 from qmcmc.circuit import Circuit
 from qmcmc.markov import Distribution, MarkovKernel
@@ -35,6 +36,18 @@ def phases_equal_up_to_global(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -
     if abs(abs(phase) - 1.0) > 1e-6:
         return False
     return bool(np.allclose(u, phase * v, atol=tol, rtol=0))
+
+
+def schur_sqrt(u: np.ndarray) -> np.ndarray:
+    """Principal square root of a unitary via complex Schur form.
+
+    This is the root Barenco lowering took before its closed form.  An
+    eigenvalue -1 takes ``np.angle``'s +pi side, so its root is +i.
+    """
+    t_mat, q = schur(u, output="complex")
+    angles = np.angle(np.diagonal(t_mat))
+    roots = np.exp(0.5j * np.where(angles == -pi, pi, angles))
+    return q @ np.diag(roots) @ q.conj().T
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,14 @@ class TestBuilderInvariants:
         # One number rule with spec fields and noise rates: nothing is coerced.
         with pytest.raises(ValueError, match="rz parameters must be finite floats or ints"):
             Circuit(["q"]).rz(value, "q")
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0, np.inf)], ids=repr)
+    def test_non_finite_matrix_is_not_unitary(self, entry):
+        # Rejected before the Gram check, whose product would warn on inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitary):
+                Circuit(["a"]).unitary([[entry, 0], [0, 1]], ["a"])
 
     def test_frozen_rejects_append(self):
         circ = Circuit(["q"]).x("q").freeze()

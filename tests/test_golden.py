@@ -113,6 +113,11 @@ def _native(name: str) -> str:
     return _sha(transpile_native(reference_pipelines()[name]).circuit.to_json())
 
 
+def _native_ops(name: str) -> str:
+    ops = transpile_native(reference_pipelines()[name]).circuit.ops
+    return _sha(json.dumps([[op.kind, op.targets, op.controls] for op in ops]))
+
+
 def _trajectories() -> str:
     circ = transpile_native(cswap_state_prep_circuit(pi / 6)).circuit
     parts = []
@@ -134,11 +139,18 @@ CASES = {
     "statevector_of/dual-eigenstate": _dual_eigenstate,
     "apply_trajectory/terminal": _trajectories,
     **{f"transpile/{name}": (lambda n=name: _native(n)) for name in reference_pipelines()},
+    **{f"native-ops/{name}": (lambda n=name: _native_ops(n)) for name in reference_pipelines()},
 }
 
 GOLDEN = {
-    "apply_trajectory/terminal": "337c7642a4cf15e531966e99de9643c0c1862c2ebf9e875a15a9692210c159b6",
+    "apply_trajectory/terminal": "8669eed75a4d0ada445dc6001b2154142f6dc641f283ac07e06e3460eccabed5",
     "logical/cswap-state-prep": "60c0e4f9f75707793cda8ab333724106fba432437b16fd335d3537fd434f7c05",
+    "native-ops/cswap-state-prep": "b20740dbd568aa22180c9a9d00ba28e23e38fdb7f195453dfbc56d8529792f77",
+    "native-ops/dual-eigenstate": "88134be26592681c0f5148755bca9974fadafda61dbd5079bba24f2fe21d8f62",
+    "native-ops/dual-overlap": "97b2b79d4d7ff717805e6202a5ef45e82e012e5c6ff37ef2ae9adcb88aa27e12",
+    "native-ops/lcu-qae": "6f8443d4a1f76f09c0d6497d564f617f9fd9cd5fbdbc33c0b706f99563a315e7",
+    "native-ops/lcu-state-prep": "e08aade712cfd855227f5972266f41b6616b565d6645cf5b1ca7a4351b665e60",
+    "native-ops/szegedy-state-prep": "4435df3b003131f4d525c7d28d8e5c19b9b3d7564abe4876c573a997b0582d07",
     "noiseless/cswap-state-prep": "24b4a6ef55746cd31f1af304746b23cb0692b319235288e82eb5a3fb4eec97c3",
     "noiseless/dual-eigenstate": "83831780bef2505e2f91ed503bf49e81a99bf644a6d4df50ecc24dddba67631a",
     "noiseless/dual-overlap": "5119c97ead772e1fc49312ed7bd237ab0c6ef3bef983cb68f93810378962fa61",
@@ -159,12 +171,12 @@ GOLDEN = {
     "spectral/lcu": "7d1d25caa0c8707620ae81529795817a36a33961a977109baf9e1c3c1688ff33",
     "spectral/szegedy": "66841ea1c47390403738435be87a3314b35d5fac5f0f4920ad90af9a5aed6d66",
     "statevector_of/dual-eigenstate": "f83d31764a7cdacd7a66da14a094500fa6a7b7620e82316a63495997e6d0baf0",
-    "transpile/cswap-state-prep": "90c37b526e1fcd05487162dd9c41e0fd201dfd160818e296825699ab4a079928",
-    "transpile/dual-eigenstate": "38c6fb7fa452487d0d2f463824dc294fbfce117c8d3738c38efbb44d8b7b03a1",
-    "transpile/dual-overlap": "03afd20003014e518a6504476bda12b570d0678563f4bbe9a9b0ae7cc0ec5a7e",
-    "transpile/lcu-qae": "84d3944bb9542ca7e8558882428a94fc2941e745def0a7fc1aa5f65938d533a0",
-    "transpile/lcu-state-prep": "142dc73c1a7f43dec808ba8af467ee3cb845977f601394345004c139adc3ed4b",
-    "transpile/szegedy-state-prep": "ef7166fccf5f99d2159b1ffbd24921e2ca19fbcc7e8e07d212ab2c9a80965e96",
+    "transpile/cswap-state-prep": "4bdc4a66ae1db3be147a03b21f4a50f07b0cc3456653873ee562129a011002c9",
+    "transpile/dual-eigenstate": "bbdcb424f1bd495bcc17d1cab5d2b9c1770fea90aea897fb002b9e177e9a35d7",
+    "transpile/dual-overlap": "e9d2aea32dcd1cc26ca2d8d09eb62170164c2706f872dca15312445eee03138b",
+    "transpile/lcu-qae": "8c124ee817e60a5af0fd11e80df494a52e942a7f87a6c115f36c01459afaa805",
+    "transpile/lcu-state-prep": "bedc8f2e336a9ccd2194de4b56f98a32d2e29c90dc8326695d8e37d728e1d9e5",
+    "transpile/szegedy-state-prep": "2c8ec670e358638853ef49dafc09a283e50f72bae5f70f8817dd6dca2406d855",
     "unitary_of/cswap": "8ba11e8915287f859dd69086c5d3cd38217bf738e8a6e9ef852af89073f4a8a5",
     "unitary_of/dual": "bb1d1f124e20cc78e782900a459aa5e20cf54d9873e8849bafe347eae033d377",
     "unitary_of/lcu": "4bd52808878b234eba3d1bc39cc40ed31640c513cd673b7f2118c05436c3f30f",

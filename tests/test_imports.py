@@ -1,7 +1,7 @@
 """What the package and its tests import.
 
-SciPy is loaded only by the Barenco lowering in ``transpile``, so importing
-``qmcmc`` and running a noiseless experiment never pay for it.  Every
+The package runs on NumPy alone: no route loads SciPy, which only the tests
+use.  Every
 imported name in ``src/qmcmc``, ``tests`` and ``scripts`` is used in its
 module; ``__init__.py`` files re-export and ``__future__`` imports are
 directives, so both are skipped.
@@ -35,6 +35,34 @@ def test_scipy_stays_off_the_noiseless_path():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_runtime_runs_without_scipy():
+    # A None entry in sys.modules makes every SciPy import raise ImportError.
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import qmcmc\n"
+        "from qmcmc.cli import main\n"
+        "from qmcmc.experiments import reference_pipelines\n"
+        "from qmcmc.transpile import transpile_native\n"
+        "noise = qmcmc.NoiseModel(p1=1e-3, p2=1e-2, p_meas=1e-2)\n"
+        "assert noise.attach == 'native', noise.attach\n"
+        "measured = [n for n in qmcmc.EXPERIMENT_NAMES if n != 'spectral-check']\n"
+        "assert len(measured) == 6, measured\n"
+        "for name in measured:\n"
+        "    qmcmc.run(qmcmc.ExperimentSpec(name, shots=10, noise=noise))\n"
+        "for circ in reference_pipelines().values():\n"
+        "    transpile_native(circ)\n"
+        "assert main(['transpile-report']) == 0\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert '"cswap-state-prep"' in done.stdout
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from qmcmc.circuit import Circuit, unitary_of
 from qmcmc.errors import Unsupported
 from qmcmc.experiments import reference_pipelines
-from qmcmc.transpile import NATIVE_KINDS, transpile_native, zyz_angles
+from qmcmc.transpile import NATIVE_KINDS, _unitary_sqrt, transpile_native, zyz_angles
 
-from conftest import phases_equal_up_to_global, random_circuit
+from conftest import phases_equal_up_to_global, random_circuit, schur_sqrt
 
 
 def _assert_native_equivalent(circ, tol=1e-9):
@@ -92,6 +94,50 @@ class TestControlLowering:
         circ = Circuit(["c", "a", "b"])
         circ.zzphase(0.6, "a", "b", controls=("c",))
         _assert_native_equivalent(circ)
+
+    # Near 2 pi the target's eigenvalues sit either side of -1, where the
+    # principal roots nearly cancel in Sylvester's formula.
+    @pytest.mark.parametrize("delta", [1e-4, 1e-7, -1e-4, -1e-7])
+    @pytest.mark.parametrize("gate", ["rz", "ry", "rx"])
+    def test_doubly_controlled_rotation_near_two_pi(self, gate, delta):
+        circ = Circuit(["a", "b", "t"])
+        getattr(circ, gate)(2 * np.pi - delta, "t", controls=("a", "b"))
+        _assert_native_equivalent(circ, tol=1e-12)
+
+
+class TestUnitarySqrt:
+    @pytest.mark.parametrize("u, root", [
+        ([[0, 1], [1, 0]], [[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]),
+        ([[1, 0], [0, -1]], [[2, 0], [0, 2j]]),
+        ([[-1, 0], [0, 1]], [[2j, 0], [0, 2]]),
+        ([[-1, 0], [0, -1]], [[2j, 0], [0, 2j]]),
+    ], ids=["x", "z", "diag(-1,1)", "minus-identity"])
+    def test_exact_roots(self, u, root):
+        assert np.array_equal(_unitary_sqrt(np.array(u, dtype=complex)), np.array(root) / 2)
+
+    @pytest.mark.parametrize("eps1, eps2", [(1e-4, 1e-4), (1e-7, 1e-7), (1e-4, 1e-7), (0, 1e-7)])
+    def test_root_with_eigenvalues_either_side_of_minus_one(self, eps1, eps2):
+        q = unitary_group.rvs(2, random_state=7)
+        u = q @ np.diag(np.exp(1j * np.array([np.pi - eps1, eps2 - np.pi]))) @ q.conj().T
+        r = _unitary_sqrt(u)
+        assert np.max(np.abs(r @ r - u)) <= 1e-14
+        assert np.max(np.abs(r.conj().T @ r - np.eye(2))) <= 1e-14
+
+    # Seed 12813 draws eigenvalues at angles -3.030 and 3.105, either side of
+    # -1, where the principal roots nearly cancel (|r1 + r2| = 0.074).
+    @example(seed=12813)
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_root_of_haar_unitary(self, seed):
+        u = unitary_group.rvs(2, random_state=seed)
+        r = _unitary_sqrt(u)
+        assert np.max(np.abs(r @ r - u)) <= 1e-14
+        assert np.max(np.abs(r.conj().T @ r - np.eye(2))) <= 1e-14
+        if abs(np.sum(np.sqrt(np.linalg.eigvals(u)))) >= 1:
+            # Away from the sign flip the root is the principal one.
+            args = np.angle(np.linalg.eigvals(r))
+            assert np.all((-np.pi / 2 < args) & (args <= np.pi / 2)), args
+            assert np.max(np.abs(r - schur_sqrt(u))) <= 1e-13
 
 
 class TestGenericMatrices:
