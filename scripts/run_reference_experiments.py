@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run every measurement experiment at reference settings and compare.
+"""Run every measurement experiment at its reference shot count and compare.
 
 Writes one report JSON per experiment into --outdir and prints a summary
 table with total-variation distances against the ideal counts and against
@@ -9,21 +9,11 @@ each device dataset that ships with the package.
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 from pathlib import Path
 
 from qmcmc.errors import SchemaError
 from qmcmc.experiments import ExperimentSpec, compare, run
-from qmcmc.references import experiment_reference
-
-RUNS = [
-    ExperimentSpec("lcu-state-prep", shots=10_000),
-    ExperimentSpec("lcu-qae", shots=1000),
-    ExperimentSpec("szegedy-state-prep", shots=10_000),
-    ExperimentSpec("cswap-state-prep", shots=10_000),
-    ExperimentSpec("dual-eigenstate", shots=10_000),
-    ExperimentSpec("dual-overlap", shots=1000),
-]
+from qmcmc.references import load_references
 
 
 def main() -> None:
@@ -36,13 +26,14 @@ def main() -> None:
     header = f"{'experiment':22} {'successes':>9} {'tvd(expected)':>13}  device tvds"
     print(header)
     print("-" * len(header))
-    for base in RUNS:
-        spec = replace(base, seed=args.seed)
+    # The reference data lists every measurement experiment with its shot count.
+    for name, reference in load_references()["experiments"].items():
+        spec = ExperimentSpec(name, shots=reference["shots"], seed=args.seed)
         report = run(spec)
         (args.outdir / f"{spec.name}.json").write_text(report.to_json())
         expected_tvd = compare(report, "expected")["tvd"]
         device_cells = []
-        for device in experiment_reference(spec.name).get("devices", {}):
+        for device in reference.get("devices", {}):
             try:
                 device_cells.append(f"{device}={compare(report, device)['tvd']:.3f}")
             except SchemaError:

@@ -52,6 +52,10 @@ class FunctionOracle:
     @classmethod
     def from_table(cls, values, num_state_qubits: int | None = None) -> "FunctionOracle":
         values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or not values.size:
+            raise ValueError(
+                f"a function table is a non-empty 1-D list of values, not shape {values.shape}"
+            )
         if not np.all((values >= 0) & (values <= 1)):  # NaN fails both
             raise ValueError("function values must lie in [0, 1]")
         if num_state_qubits is None:
@@ -150,9 +154,9 @@ def phase_estimation(
 ) -> PhaseEstimate:
     """Phase-estimate a unitary on a prepared input state.
 
-    A circuit input is converted once with ``unitary_of``; its ``16 * 4**n``
-    bytes must fit in ``DENSE_BYTES``, so circuits are limited to 11 qubits.
-    A matrix input must be unitary within ``UNITARY_TOL``.  Row m of a
+    A circuit input is converted once with ``unitary_of``, whose
+    ``DENSE_BYTES`` budget limits circuits to 11 qubits.  A matrix input must
+    be unitary within ``UNITARY_TOL``.  Row m of a
     ``(2**t, dim)`` array holds u^m psi, built by doubling: rows 2^j to
     2^(j+1) - 1 are rows 0 to 2^j - 1 times u^(2^j).  The inverse QFT of
     sum_m |m> u^m psi is a DFT over m, so k reads with probability
@@ -163,18 +167,14 @@ def phase_estimation(
     dim = input_state.dim
     _check_phase_register(t, dim)
     if isinstance(unitary, Circuit):
-        n = unitary.num_qubits
-        holds = "phase estimation of a circuit holds its 2**n x 2**n unitary"
-        check_dense_bytes(16 * 4**n, holds, f"{n} qubits exceed")
-        u = unitary_of(unitary)
+        u = unitary_of(unitary)  # unitary by construction
     else:
         u = np.asarray(unitary, dtype=complex)
-    if u.shape != (dim, dim):
-        raise ValueError("unitary dimension does not match input state")
-    if not isinstance(unitary, Circuit):  # circuits are unitary by construction
-        err = gram_deviation(u)
+        err = gram_deviation(u) if u.shape == (dim, dim) else 0.0  # a wrong shape fails below
         if not err <= UNITARY_TOL:
             raise NotUnitary(f"matrix deviates from unitarity by {err:.3e}")
+    if u.shape != (dim, dim):
+        raise ValueError("unitary dimension does not match input state")
     rows = np.empty((2**t, dim), dtype=complex)
     rows[0] = input_state.amps
     power = u

@@ -322,8 +322,8 @@ class Circuit:
             counts[op.kind] = counts.get(op.kind, 0) + 1
         return counts
 
-    def copy(self, qubits: Sequence[str] | None = None) -> "Circuit":
-        out = Circuit(qubits if qubits is not None else self.qubits)
+    def copy(self) -> "Circuit":
+        out = Circuit(self.qubits)
         out.extend(self._ops)
         return out
 

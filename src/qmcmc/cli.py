@@ -2,7 +2,8 @@
 
 Subcommands: run, compare, spectra, transpile-report, list.  JSON is the
 canonical output format; csv flattens histograms and table prints a summary.
-Exit codes: 0 success, 1 assertion threshold exceeded, 2 usage error.
+Exit codes: 0 success, 1 assertion threshold exceeded (or no TVD to assert
+on), 2 usage error.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="TVD",
-        help="exit 1 if the comparison TVD exceeds this threshold",
+        help="exit 1 if the comparison TVD exceeds this threshold or is null",
     )
 
     p_cmp = sub.add_parser("compare", help="compare a stored report against a reference")
@@ -104,8 +105,17 @@ def _report_table(report: ExperimentReport) -> str:
     for key, value in report.derived.items():
         lines.append(f"{key}: {value}")
     if report.comparison is not None:
-        lines.append(f"tvd vs {report.comparison['source']}: {report.comparison['tvd']:.4f}")
+        tvd = report.comparison["tvd"]
+        shown = "null" if tvd is None else f"{tvd:.4f}"
+        lines.append(f"tvd vs {report.comparison['source']}: {shown}")
     return "\n".join(lines)
+
+
+def _exceeds(comparison: dict, threshold: float | None) -> bool:
+    """True if ``--assert`` was given and the TVD is null (nothing to compare) or above it."""
+    if threshold is None:
+        return False
+    return comparison["tvd"] is None or comparison["tvd"] > threshold
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,9 +143,7 @@ def main(argv: list[str] | None = None) -> int:
             report = ExperimentReport.from_dict(json.loads(args.report.read_text()))
             summary = compare(report, args.reference)
             print(json.dumps(summary, indent=2, sort_keys=True))
-            if args.assert_tvd is not None and summary["tvd"] > args.assert_tvd:
-                return 1
-            return 0
+            return 1 if _exceeds(summary, args.assert_tvd) else 0
         # run
         noise = None
         if args.noise is not None:
@@ -155,13 +163,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(_report_csv(report), args.out)
         else:
             _emit(_report_table(report), args.out)
-        if (
-            args.assert_tvd is not None
-            and report.comparison is not None
-            and report.comparison["tvd"] > args.assert_tvd
-        ):
-            return 1
-        return 0
+        return 1 if _exceeds(report.comparison, args.assert_tvd) else 0
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -164,23 +164,21 @@ def _is_count(value) -> bool:
 # -- pipelines -----------------------------------------------------------------
 
 
-def _controlled_lcu_walk_ops(delta: float, c: str, a: str, x: str) -> list:
-    """Controlled walk for the two-unitary mix: only the core gates need controls."""
+def _lcu_prep(delta: float) -> Circuit:
+    """H on c, three c-controlled two-unitary walk steps (control on the core gates), H on c."""
     theta = acos(sqrt(1 - delta))
-    circ = Circuit([c, a, x])
-    circ.ry(2 * theta, a)
-    circ.x(x, controls=(c, a))
-    circ.ry(-2 * theta, a)
-    circ.z(a, controls=(c,))
-    return list(circ.ops)
-
-
-def lcu_state_prep_circuit(delta: float) -> Circuit:
     circ = Circuit(["c", "a", "x"])
     circ.h("c")
     for _ in range(3):
-        circ.extend(_controlled_lcu_walk_ops(delta, "c", "a", "x"))
-    circ.h("c")
+        circ.ry(2 * theta, "a")
+        circ.x("x", controls=("c", "a"))
+        circ.ry(-2 * theta, "a")
+        circ.z("a", controls=("c",))
+    return circ.h("c")
+
+
+def lcu_state_prep_circuit(delta: float) -> Circuit:
+    circ = _lcu_prep(delta)
     circ.measure("x", "c", "a")
     return circ.freeze()
 
@@ -227,12 +225,8 @@ def lcu_qae_circuit(delta: float, t: int = 2) -> Circuit:
     """
     if t != 2:
         raise ValueError("the bundled estimation pipeline is built for t = 2")
-    names = ["c", "a", "x", "f", "j1", "j0"]
-    circ = Circuit(names)
-    circ.h("c")
-    for _ in range(3):
-        circ.extend(_controlled_lcu_walk_ops(delta, "c", "a", "x"))
-    circ.h("c")
+    circ = Circuit(["c", "a", "x", "f", "j1", "j0"])
+    circ.extend(_lcu_prep(delta).ops)
     oracle = indicator_oracle().circuit.renamed({"x0": "x"})
     circ.extend(oracle.ops)
     # prep network of the target state: uniform state on x, then oracle.
@@ -250,13 +244,8 @@ def lcu_qae_circuit(delta: float, t: int = 2) -> Circuit:
 def dual_eigenstate_circuits(acceptance_angle: float) -> tuple[Circuit, Circuit, float]:
     """(V circuit, V + walk circuit, dense invariance norm)."""
     walk, v_prep = dual_walk(acceptance_angle)
-    v_only = Circuit(DUAL_QUBITS)
-    v_only.extend(v_prep.ops)
-    v_only.measure(*DUAL_QUBITS)
-    walked = Circuit(DUAL_QUBITS)
-    walked.extend(v_prep.ops)
-    walked.extend(walk.circuit.ops)
-    walked.measure(*DUAL_QUBITS)
+    v_only = v_prep.copy().measure(*DUAL_QUBITS)
+    walked = v_prep.copy().extend(walk.circuit.ops).measure(*DUAL_QUBITS)
     v_state = statevector_of(v_prep)
     norm = float(np.linalg.norm(walk.total @ v_state.amps - v_state.amps))
     return v_only.freeze(), walked.freeze(), norm
@@ -264,10 +253,7 @@ def dual_eigenstate_circuits(acceptance_angle: float) -> tuple[Circuit, Circuit,
 
 def dual_overlap_circuit(acceptance_angle: float) -> Circuit:
     walk, v_prep = dual_walk(acceptance_angle)
-    circ = Circuit(DUAL_QUBITS)
-    circ.extend(v_prep.ops)
-    circ.extend(walk.circuit.ops)
-    circ.extend(v_prep.inverse().ops)
+    circ = v_prep.copy().extend(walk.circuit.ops).extend(v_prep.inverse().ops)
     circ.measure(*DUAL_QUBITS)
     return circ.freeze()
 
@@ -275,21 +261,21 @@ def dual_overlap_circuit(acceptance_angle: float) -> Circuit:
 # -- execution ------------------------------------------------------------------
 
 
-def _counts(
-    circuit: Circuit,
-    shots: int,
-    seed,
-    noise: NoiseModel | None,
-) -> dict[str, int]:
-    """Histogram of a pipeline's readout, noiselessly or with trajectories.
+def _counts(circuit: Circuit, spec: ExperimentSpec, seed=None) -> dict[str, int]:
+    """Histogram of a pipeline's readout at the spec's shots, seed (or ``seed``) and noise.
 
     A zero noise model skips transpilation (there are no noise sites to
     attach to), so it samples the logical circuit like the noiseless path.
     """
-    noise = ZERO_NOISE if noise is None else noise
+    noise = ZERO_NOISE if spec.noise is None else spec.noise
     if noise.attach == "native" and not noise.is_zero:
         circuit = transpile_native(circuit).circuit
-    return sample_with_noise(circuit, noise, shots, seed)
+    return sample_with_noise(circuit, noise, spec.shots, spec.seed if seed is None else seed)
+
+
+def _zero_at(counts: dict[str, int], position: int) -> dict[str, int]:
+    """The outcomes whose bit at ``position`` reads 0."""
+    return {k: c for k, c in counts.items() if k[position] == "0"}
 
 
 def _marginal(counts: dict[str, int], positions: list[int]) -> dict[str, int]:
@@ -314,9 +300,9 @@ def tvd(hist_a: dict[str, int], hist_b: dict[str, int]) -> float:
 def _run_lcu_state_prep(spec: ExperimentSpec) -> ExperimentReport:
     circ = lcu_state_prep_circuit(spec.delta)
     bits = circ.measured()
-    counts = _counts(circ, spec.shots, spec.seed, spec.noise)
-    success = sum(c for k, c in counts.items() if k[1] == "0")
-    cond_x = _marginal({k: c for k, c in counts.items() if k[1] == "0"}, [0])
+    counts = _counts(circ, spec)
+    cond_x = _marginal(_zero_at(counts, 1), [0])
+    success = sum(cond_x.values())
     uniform = {b: 1 for b in ("0", "1")}
     derived = {
         "success_rate": success / spec.shots,
@@ -329,9 +315,9 @@ def _run_lcu_state_prep(spec: ExperimentSpec) -> ExperimentReport:
 def _run_szegedy(spec: ExperimentSpec) -> ExperimentReport:
     circ = szegedy_state_prep_circuit(spec.delta)
     bits = circ.measured()
-    counts = _counts(circ, spec.shots, spec.seed, spec.noise)
-    success = sum(c for k, c in counts.items() if k[2] == "0")
-    conditional = {k: c for k, c in counts.items() if k[2] == "0"}
+    counts = _counts(circ, spec)
+    conditional = _zero_at(counts, 2)
+    success = sum(conditional.values())
     joint = _marginal(conditional, [0, 1])
     derived = {
         "success_rate": success / spec.shots,
@@ -343,11 +329,11 @@ def _run_szegedy(spec: ExperimentSpec) -> ExperimentReport:
 
 def _run_cswap(spec: ExperimentSpec) -> ExperimentReport:
     circ = cswap_state_prep_circuit(spec.angle())
-    raw = _counts(circ, spec.shots, spec.seed, spec.noise)
+    raw = _counts(circ, spec)
     # Reference tables carry a fifth, always-zero compilation ancilla bit.
     counts = {k + "0": c for k, c in raw.items()}
     bits = circ.measured() + ("sc",)
-    success = sum(c for k, c in counts.items() if k[0] == "0")
+    success = sum(_zero_at(counts, 0).values())
     derived = {
         "phase0_count": success,
         "x_marginal": dict(sorted(_marginal(counts, [1]).items())),
@@ -359,11 +345,12 @@ def _run_cswap(spec: ExperimentSpec) -> ExperimentReport:
 def _run_lcu_qae(spec: ExperimentSpec) -> ExperimentReport:
     circ = lcu_qae_circuit(spec.delta, spec.t)
     bits = circ.measured()
-    counts = _counts(circ, spec.shots, spec.seed, spec.noise)
-    success = sum(c for k, c in counts.items() if k[1] == "0")
+    counts = _counts(circ, spec)
+    estimates = _mean_estimates(counts)
+    success = sum(estimates.values())
     derived = {
         "prep_success_count": success,
-        "mean_estimate_histogram": _mean_estimates(counts),
+        "mean_estimate_histogram": estimates,
         "expected_mean": 0.5,
     }
     return ExperimentReport(spec, bits, counts, success, derived)
@@ -372,9 +359,7 @@ def _run_lcu_qae(spec: ExperimentSpec) -> ExperimentReport:
 def _mean_estimates(counts: dict[str, int]) -> dict[str, int]:
     """lcu-qae mean-estimate histogram of the prep successes, keyed by estimate."""
     estimates: dict[str, int] = {}
-    for k, c in counts.items():
-        if k[1] != "0":  # post-filter on preparation success
-            continue
+    for k, c in _zero_at(counts, 1).items():  # post-filter on preparation success
         # Wire j0 carries the high bit of the two-bit phase value.
         phase_k = (int(k[3]) << 1) | int(k[2])
         key = f"{mean_estimate_from_phase(phase_k, 2):g}"
@@ -385,8 +370,8 @@ def _mean_estimates(counts: dict[str, int]) -> dict[str, int]:
 def _run_dual_eigenstate(spec: ExperimentSpec) -> ExperimentReport:
     v_circ, walked_circ, invariance = dual_eigenstate_circuits(spec.angle())
     bits = v_circ.measured()
-    counts = _counts(v_circ, spec.shots, (spec.seed, 0), spec.noise)
-    walked = _counts(walked_circ, spec.shots, (spec.seed, 1), spec.noise)
+    counts = _counts(v_circ, spec, (spec.seed, 0))
+    walked = _counts(walked_circ, spec, (spec.seed, 1))
     support = {"001010", "001100", "010010", "010100", "101010", "101100", "110010", "110100"}
     derived = {
         "walk_applied_histogram": dict(sorted(walked.items())),
@@ -400,7 +385,7 @@ def _run_dual_eigenstate(spec: ExperimentSpec) -> ExperimentReport:
 def _run_dual_overlap(spec: ExperimentSpec) -> ExperimentReport:
     circ = dual_overlap_circuit(spec.angle())
     bits = circ.measured()
-    counts = _counts(circ, spec.shots, spec.seed, spec.noise)
+    counts = _counts(circ, spec)
     zeros = counts.get("0" * 6, 0)
     derived = {
         "zero_outcomes": zeros,
@@ -479,6 +464,7 @@ def compare(report: ExperimentReport, source: str = "expected") -> dict:
 
 
 def _histogram_comparison(mine: dict[str, int], theirs: dict[str, int], source: str) -> dict:
+    """TVD and z-scores of ``mine`` against ``theirs``; the TVD is None when ``mine`` is empty."""
     n_mine = sum(mine.values())
     n_ref = sum(theirs.values())
     z_scores = {}
@@ -490,7 +476,7 @@ def _histogram_comparison(mine: dict[str, int], theirs: dict[str, int], source: 
         z_scores[key] = float((obs - expected) / sigma) if sigma > 0 else None
     return {
         "source": source,
-        "tvd": tvd(mine, theirs),
+        "tvd": tvd(mine, theirs) if n_mine else None,
         "z_scores": z_scores,
     }
 
@@ -522,12 +508,13 @@ def transpile_report(delta: float = 0.25) -> dict[str, dict]:
     """Native gate counts for every pipeline, against bundled references."""
     out = {}
     for name, circ in reference_pipelines(delta).items():
-        ref = gate_reference(name)
-        result = transpile_native(circ, ref)
-        entry = result.count_report()
-        entry["total"] = sum(result.counts.values())
-        entry["qubits"] = circ.num_qubits
-        if result.warnings:
-            entry["warnings"] = list(result.warnings)
+        counts = transpile_native(circ).counts
+        total = sum(counts.values())
+        reference = gate_reference(name)
+        entry = {"counts": counts, "reference": reference, "total": total, "qubits": circ.num_qubits}
+        for kind, ref in (reference or {}).items():
+            have = total if kind == "total" else counts.get(kind, 0)
+            if ref > 0 and have > 2 * ref:  # a "qubits" entry has no count, so it never warns
+                entry.setdefault("warnings", []).append(f"{kind}: {have} gates vs reference {ref} (> 2x)")
         out[name] = entry
     return out

@@ -144,7 +144,7 @@ def walk_operator(spue: Spue) -> WalkOperator:
         and iso.zero_qubits
         and iso.source_dim * 2 ** len(iso.zero_qubits) == iso.space_dim
     ):
-        circuit = Circuit(spue.circuit.qubits).extend(spue.circuit.ops)
+        circuit = spue.circuit.copy()
         circuit.reflection(iso.prep_circuit, iso.zero_qubits).freeze()
         dev = float(np.max(np.abs(unitary_of(circuit) - total)))
         if not dev <= UNITARY_TOL:

@@ -8,9 +8,9 @@ template, and single-qubit gates via ZYZ Euler angles (Barenco et al. 1995,
 every rule yields gates with fewer controls or fewer targets, or native ones,
 and each of them is lowered in turn.  The only optimization applied
 afterwards is one peephole pass that merges adjacent rotations and drops the
-ones that cancel; gate-count parity with any particular compiler is out of
-scope, so counts are reported against optional reference numbers and large
-ratios are flagged as warnings only.
+ones that cancel.  Gate-count parity with any particular compiler is out of
+scope: ``experiments.transpile_report`` sets the counts against reference
+numbers and flags large ratios as warnings only.
 """
 
 from __future__ import annotations
@@ -32,20 +32,13 @@ _ROTATIONS = ("rz", "zzphase", "phasedx")
 
 @dataclass(frozen=True)
 class TranspileReport:
-    """Native circuit plus a gate-count report against optional references."""
+    """Native circuit and its gate counts."""
 
     circuit: Circuit
     counts: dict[str, int]
-    reference: dict[str, int] | None = None
-    warnings: tuple[str, ...] = ()
-
-    def count_report(self) -> dict:
-        return {"counts": dict(self.counts), "reference": self.reference}
 
 
-def transpile_native(
-    circuit: Circuit, reference: dict[str, int] | None = None
-) -> TranspileReport:
+def transpile_native(circuit: Circuit) -> TranspileReport:
     """Rewrite a circuit over {PhasedX, Rz, ZZPhase, measure}.
 
     The output is unitary-equivalent to the input up to global phase
@@ -55,16 +48,7 @@ def transpile_native(
     """
     ops = _merged([g for op in circuit.ops for g in _lowered(op)])
     out = Circuit(circuit.qubits).extend(ops).freeze()
-    counts = out.gate_counts()
-    warnings = []
-    if reference:
-        for kind, ref in reference.items():
-            if kind == "qubits":
-                continue
-            have = sum(counts.values()) if kind == "total" else counts.get(kind, 0)
-            if ref > 0 and have > 2 * ref:
-                warnings.append(f"{kind}: {have} gates vs reference {ref} (> 2x)")
-    return TranspileReport(out, counts, reference, tuple(warnings))
+    return TranspileReport(out, out.gate_counts())
 
 
 def _lowered(op: GateApplication) -> list[GateApplication]:

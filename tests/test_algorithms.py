@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmcmc.algorithms as algorithms
+import qmcmc.circuit
 from qmcmc._apply import evolve, marginal_probabilities
 from qmcmc.algorithms import (
     FunctionOracle,
@@ -51,6 +52,13 @@ class TestFunctionOracle:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             FunctionOracle.from_table([0.5, 1.2])
+
+    @pytest.mark.parametrize(
+        "table", [[], [[0.5]], [[0.0, 1.0], [1.0, 0.0]], 0.5], ids=["empty", "1x1", "2x2", "scalar"]
+    )
+    def test_rejects_a_table_that_is_not_a_non_empty_list(self, table):
+        with pytest.raises(ValueError, match="non-empty 1-D list of values"):
+            FunctionOracle.from_table(table)
 
     def test_indicator(self):
         oracle = FunctionOracle.from_table([0.0, 1.0])
@@ -128,7 +136,8 @@ class TestPhaseEstimation:
         def unreachable(*args):
             raise AssertionError("evolution started")
 
-        monkeypatch.setattr(algorithms, "unitary_of", unreachable)
+        # unitary_of checks the budget before it evolves the basis states
+        monkeypatch.setattr(qmcmc.circuit, "evolve", unreachable)
         monkeypatch.setattr(algorithms, "evolve", unreachable)
         circ = Circuit([f"q{i}" for i in range(12)]).h("q0")
         with pytest.raises(ValueError, match="12 qubits exceed its 64 MiB budget"):

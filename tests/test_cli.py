@@ -74,6 +74,29 @@ def test_run_assert_threshold(capsys):
     assert bad == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_run_without_prep_success_prints_null_tvd(capsys, fmt):
+    # lcu-qae at one shot and seed 4 fails the prep filter: no mean estimate to compare
+    argv = ["run", "--experiment", "lcu-qae", "--shots", "1", "--seed", "4", "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["comparison"]["tvd"] is None
+    elif fmt == "table":
+        assert out.splitlines()[-1] == "tvd vs expected: null"
+    assert main(argv + ["--assert", "1.0"]) == 1
+
+
+def test_compare_without_prep_success_prints_null_tvd(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    argv = ["run", "--experiment", "lcu-qae", "--shots", "1", "--seed", "4", "--out", str(out_file)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["compare", str(out_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["tvd"] is None
+    assert main(["compare", str(out_file), "--assert", "1.0"]) == 1
+
+
 def test_compare_subcommand(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     main([

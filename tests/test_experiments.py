@@ -239,6 +239,16 @@ class TestCompare:
         with pytest.raises(SchemaError):
             compare(report, "expected")
 
+    @pytest.mark.parametrize("seed", [4, 5, 7])
+    def test_lcu_qae_without_prep_success_has_null_tvd(self, seed):
+        # One shot that fails the prep filter leaves no mean estimate to compare.
+        report = run_with_comparison(ExperimentSpec("lcu-qae", shots=1, seed=seed))
+        assert report.success_count == 0
+        assert report.derived["mean_estimate_histogram"] == {}
+        assert report.comparison["tvd"] is None
+        assert set(report.comparison["z_scores"].values()) == {None}
+        assert json.loads(report.to_json())["comparison"]["tvd"] is None
+
 
 class TestReferences:
     def test_tables_present_for_all_measured_experiments(self):

@@ -1,3 +1,6 @@
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +9,8 @@ from scipy.stats import unitary_group
 
 from qmcmc.circuit import Circuit, unitary_of
 from qmcmc.errors import Unsupported
-from qmcmc.experiments import reference_pipelines
+import qmcmc.experiments as experiments
+from qmcmc.experiments import reference_pipelines, transpile_report
 from qmcmc.transpile import NATIVE_KINDS, _unitary_sqrt, transpile_native, zyz_angles
 
 from conftest import phases_equal_up_to_global, random_circuit, schur_sqrt
@@ -191,16 +195,36 @@ class TestRoundTripSuite:
 
 
 class TestReporting:
-    def test_reference_report_schema(self):
-        circ = Circuit(["a", "b"]).cx("a", "b")
-        report = transpile_native(circ, reference={"zzphase": 1, "phasedx": 2})
-        payload = report.count_report()
-        assert set(payload) == {"counts", "reference"}
-        assert payload["reference"] == {"zzphase": 1, "phasedx": 2}
+    # transpile_native lowers; transpile_report sets its counts against the references.
+    def test_reference_report_schema(self, monkeypatch):
+        reference = {"zzphase": 10**6, "phasedx": 10**6}
+        monkeypatch.setattr(experiments, "gate_reference", lambda name: reference)
+        assert list(inspect.signature(transpile_native).parameters) == ["circuit"]
+        pipelines = reference_pipelines()
+        payload = transpile_report()
+        assert set(payload) == set(pipelines)
+        for name, entry in payload.items():
+            native = transpile_native(pipelines[name])
+            assert {f.name for f in fields(native)} == {"circuit", "counts"}
+            assert set(entry) == {"counts", "reference", "total", "qubits"}
+            assert entry["counts"] == native.counts == native.circuit.gate_counts()
+            assert entry["reference"] == reference
+            assert entry["total"] == sum(native.counts.values())
+            assert entry["qubits"] == pipelines[name].num_qubits
 
-    def test_two_x_ratio_warning(self):
-        circ = Circuit(["a", "b"])
-        for _ in range(4):
-            circ.cx("a", "b")
-        report = transpile_native(circ, reference={"zzphase": 1})
-        assert report.warnings
+    def test_two_x_ratio_warning(self, monkeypatch):
+        # Only a count above twice a positive reference warns; "qubits" counts no gates.
+        phasedx = {
+            name: transpile_native(circ).counts["phasedx"] for name, circ in reference_pipelines().items()
+        }
+
+        def reference(name):
+            return {"zzphase": 1, "phasedx": phasedx[name] // 2, "rz": 0, "qubits": 1, "total": 10**6}
+
+        monkeypatch.setattr(experiments, "gate_reference", reference)
+        for name, entry in transpile_report().items():
+            have = entry["counts"]["zzphase"]
+            expected = [f"zzphase: {have} gates vs reference 1 (> 2x)"]
+            if phasedx[name] % 2:  # an odd count is more than twice its half, an even one is not
+                expected.append(f"phasedx: {phasedx[name]} gates vs reference {phasedx[name] // 2} (> 2x)")
+            assert entry["warnings"] == expected, name
