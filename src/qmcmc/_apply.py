@@ -18,15 +18,17 @@ and the ``flat @ mat.T`` product, on the same layout as ``np.moveaxis``
 would give, so amplitudes do not depend on whether a plan was cached.
 
 The module also owns the rules that other modules share: the byte budget
-``DENSE_BYTES`` and its one comparison, the Gram deviation behind every
-unitarity and isometry check, the one number-type rule for gate parameters,
-spec fields and noise rates, and the read-only array copy.
+``DENSE_BYTES`` and its one comparison, the one dense product
+(``serial_blocks``, ``serial_product``) that keeps OpenBLAS on the calling
+thread, the Gram deviation behind every unitarity and isometry check, the one
+number-type rule for gate parameters, spec fields and noise rates, and the
+read-only array copy.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +38,11 @@ Gate = tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]
 # (the noisy engine's input frame, phase estimation's circuit unitary): its
 # 16 * 4**n bytes fit for n <= 11.  Phase estimation's rows share it.
 DENSE_BYTES = 64 << 20
+# OpenBLAS runs a complex GEMM on its thread pool once m * n * k reaches
+# 2**16, and a woken pool spins for about 0.1 s waiting for more work.  The
+# dense products stay below that size (see ``serial_blocks``), so their callers
+# hold one core and their speed does not hang on a second one being free.
+_SERIAL_MNK = 1 << 16
 
 
 def check_dense_bytes(nbytes: int, holds: str, excess: str) -> None:
@@ -47,7 +54,37 @@ def check_dense_bytes(nbytes: int, holds: str, excess: str) -> None:
 
 def gram_deviation(m: np.ndarray) -> float:
     """``max |m^dag m - I|``: how far ``m`` is from unitary, or from orthonormal columns."""
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
+    return float(np.max(np.abs(serial_product(m.conj().T, m) - np.eye(m.shape[1]))))
+
+
+def serial_blocks(rows: np.ndarray, mat: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(first, rows[first:first + b] @ mat)`` for consecutive row blocks
+    of ``rows``, each product under ``_SERIAL_MNK`` where ``mat`` allows it.
+
+    The blocks have one height, at least two rows because NumPy hands a
+    one-row product to GEMV, which OpenBLAS threads at a smaller size still.
+    Zero rows pad the ragged last block to that height, and its product is cut
+    back, so every row goes through the same kind of kernel call.  A caller that
+    reduces each block as it comes never holds the whole product.
+    """
+    size = len(rows)
+    most = max(2, (_SERIAL_MNK - 1) // mat.size)
+    count = max(1, -(-size // most))
+    block = max(2, -(-size // count))
+    for first in range(0, size, block):
+        part = rows[first : first + block]
+        if len(part) < block:
+            pad = np.zeros((block - len(part), rows.shape[1]), dtype=rows.dtype)
+            part = np.concatenate([part, pad])
+        yield first, (part @ mat)[: size - first]
+
+
+def serial_product(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat`` on the calling thread, assembled from ``serial_blocks``."""
+    out = np.empty((len(rows), mat.shape[1]), dtype=np.result_type(rows, mat))
+    for first, product in serial_blocks(rows, mat):
+        out[first : first + len(product)] = product
+    return out
 
 
 def is_plain_real(value) -> bool:

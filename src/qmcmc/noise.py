@@ -15,25 +15,29 @@ draws altogether: it evolves one statevector and inverts the CDF with
 ``statevector.sample_from_probabilities``, the noiseless sampler itself.
 
 The batched engine separates the fault draws from state evolution.  It
-draws every shot's fault pattern, the tuple of its ``(site, pauli)`` events,
-and evolves each distinct pattern once; most shots share the fault-free
-pattern.  Shots are drawn in blocks of ``_DRAW_BLOCK``: every shot of a
-block fills one row of a reused buffer with its ``1 + m + sites`` uniforms,
-and all the fault sites of the block are screened against the rates at once,
-so a fault-free shot costs no Python work past its draw.  A shot that faults
-is re-seated just past its uniforms (``ShotStreams.shot(s, drawn=...)``) and
-draws its Pauli choices as the sequential engine does.
+walks the shots in the blocks of ``statevector.shot_block_counts``, the
+noiseless sampler's driver.  Within a shot block it draws every shot's fault
+pattern, the tuple of its ``(site, pauli)`` events, and evolves each distinct
+pattern once; most shots share the fault-free pattern.  Shots are drawn in
+groups of ``_DRAW_BLOCK``: every shot of a group fills one row of a reused
+buffer with its ``1 + m + sites`` uniforms, and all the fault sites of the
+group are screened against the rates at once, so a fault-free shot costs no
+Python work past its draw.  A shot that faults is re-seated just past its
+uniforms (``ShotStreams.shot(s, drawn=...)``) and draws its Pauli choices as
+the sequential engine does.
 
 Patterns are evolved in the input frame: the gates act only on the ``2**n``
 basis columns of the prefix unitary, and a pattern's amplitudes change only
 at its own fault sites, so gate work does not grow with the pattern count.
-The frame products run as stacks of small row blocks that OpenBLAS keeps on
-the calling thread, so the engine uses one core.  The frame takes
-``16 * 4**n`` bytes, which bounds noisy sampling to 11 qubits.  Patterns are
-handled in chunks whose amplitudes stay within a fixed byte budget, so memory
-grows with the budgets and the shot count rather than with ``shots * 2**n``.
-Each shot then inverts the CDF of its pattern's outcome law with its own
-outcome uniform.
+The frame products run in small row blocks that OpenBLAS keeps on the calling
+thread (``_apply.serial_blocks``), so the engine uses one core.  The frame
+takes ``16 * 4**n`` bytes, which bounds noisy sampling to 11 qubits.  Patterns
+are handled in chunks whose amplitudes stay within a fixed byte budget, and a
+chunk's final states are never held whole: each row block of pattern rows is
+taken to the output frame, reduced to its outcome law, and every shot of its
+patterns inverts that law's CDF with its own outcome uniform.  So memory grows
+with the budgets (the shot block, the chunk and the frame) and not with the
+shot count.
 
 Default rates are an order-of-magnitude stand-in for trapped-ion hardware,
 not calibrated device numbers.
@@ -45,12 +49,13 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from ._apply import (
     Gate, apply_matrix, apply_matrix_nd, check_dense_bytes, evolve, is_plain_real,
-    marginal_probabilities,
+    marginal_probabilities, serial_blocks, serial_product,
 )
 from .circuit import _FIXED, Circuit
 from .errors import SchemaError
@@ -60,8 +65,8 @@ from .statevector import (
     check_shots,
     from_amplitudes,
     invert_cdf,
-    outcome_counts,
     sample_from_probabilities,
+    shot_block_counts,
     zero_state,
 )
 
@@ -71,11 +76,6 @@ _PAULI_1Q = [_FIXED["x"], _FIXED["y"], _FIXED["z"]]
 _DRAW_BLOCK = 64
 # Amplitude bytes of one batch of fault patterns evolved together.
 _BATCH_BYTES = 64 << 20
-# OpenBLAS runs a complex GEMM on its thread pool once m * n * k reaches
-# 2**16, and a woken pool spins for about 0.1 s waiting for more work.  The
-# frame products stay below that size (see ``_serial_product``), so the noisy
-# engine holds one core and its speed does not hang on a second one being free.
-_SERIAL_MNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -248,38 +248,41 @@ def sample_with_noise(
     check_dense_bytes(16 * 4**n, "noisy sampling holds a 2**n x 2**n frame", f"{n} qubits exceed")
 
     gates, arities, rates = _sites(circuit, model)
-    u_out, flips, pattern_of_shot, patterns = _draw_patterns(
-        seed, shots, m, model.p_meas, rates, arities
-    )
-    shots_of_row = np.split(
-        np.argsort(pattern_of_shot, kind="stable"), np.cumsum(np.bincount(pattern_of_shot))[:-1]
-    )
     chunk = max(1, _BATCH_BYTES // (16 * 2**n))
-    outcomes = np.empty(shots, dtype=np.intp)
-    for first in range(0, len(patterns), chunk):
-        final = _evolve_patterns(patterns[first : first + chunk], gates, n)
-        probs = marginal_probabilities(np.ascontiguousarray(final), idx, n)
-        for row_probs, group in zip(probs, shots_of_row[first : first + chunk]):
-            outcomes[group] = invert_cdf(row_probs, u_out[group])
-    if model.p_meas > 0:
-        weights = 1 << np.arange(m - 1, -1, -1)
-        outcomes ^= flips @ weights
-    return outcome_counts(outcomes, m)
+    weights = 1 << np.arange(m - 1, -1, -1)
+
+    def outcomes_of(first: int, last: int) -> np.ndarray:
+        u_out, flips, pattern_of_shot, patterns = _draw_patterns(
+            seed, first, last, m, model.p_meas, rates, arities
+        )
+        by_row = np.argsort(pattern_of_shot, kind="stable")
+        shots_of_row = np.split(by_row, np.cumsum(np.bincount(pattern_of_shot))[:-1])
+        outcomes = np.empty(last - first, dtype=np.intp)
+        for start in range(0, len(patterns), chunk):
+            for row, final in _evolve_patterns(patterns[start : start + chunk], gates, n):
+                for j, probs in enumerate(marginal_probabilities(final, idx, n), start + row):
+                    outcomes[shots_of_row[j]] = invert_cdf(probs, u_out[shots_of_row[j]])
+        if model.p_meas > 0:
+            outcomes ^= flips @ weights
+        return outcomes
+
+    return shot_block_counts(shots, m, outcomes_of)
 
 
 def _draw_patterns(
-    seed: int, shots: int, m: int, p_meas: float, rates: np.ndarray, arities: np.ndarray
+    seed: int, first: int, last: int, m: int, p_meas: float, rates: np.ndarray, arities: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[tuple[int, int], ...]]]:
-    """Outcome uniforms, readout flips and pattern row of every shot, and the
-    distinct fault patterns in order of first appearance.
+    """Outcome uniforms, readout flips and pattern row of shots ``first`` to
+    ``last - 1``, and their distinct fault patterns in order of first appearance.
 
-    Shots are drawn in blocks of ``_DRAW_BLOCK``: each shot's ``1 + m + sites``
-    uniforms fill one row of a reused buffer, and the whole block is compared
+    Shots are drawn in groups of ``_DRAW_BLOCK``: each shot's ``1 + m + sites``
+    uniforms fill one row of a reused buffer, and the whole group is compared
     with the rates at once.  A fault-free shot takes the ``()`` pattern with
     no further work.  A shot that faults is re-seated just past its uniforms
     and draws its Pauli indices with ``_shot_events``, so every shot reads its
     stream as ``apply_trajectory`` does.
     """
+    shots = last - first
     width = 1 + m + len(rates)
     u_out = np.empty(shots)
     flips = np.empty((shots, m), dtype=bool)
@@ -287,32 +290,33 @@ def _draw_patterns(
     rows: dict[tuple[tuple[int, int], ...], int] = {}
     streams = ShotStreams(seed)
     buffer = np.empty((min(shots, _DRAW_BLOCK), width))
-    for first in range(0, shots, _DRAW_BLOCK):
-        block = buffer[: shots - first]
-        for s, row in enumerate(block, first):
+    for lo in range(0, shots, _DRAW_BLOCK):
+        block = buffer[: shots - lo]
+        for s, row in enumerate(block, first + lo):
             streams.shot(s).random(out=row)
-        last = first + len(block)
-        u_out[first:last] = block[:, 0]
-        np.less(block[:, 1 : 1 + m], p_meas, out=flips[first:last])
+        hi = lo + len(block)
+        u_out[lo:hi] = block[:, 0]
+        np.less(block[:, 1 : 1 + m], p_meas, out=flips[lo:hi])
         faulted = (block[:, 1 + m :] < rates).any(axis=1)
         visit = faulted.copy()
         if () not in rows:
-            visit[np.argmin(faulted)] = True  # the block's first fault-free shot, if any
+            visit[np.argmin(faulted)] = True  # the group's first fault-free shot, if any
         for j in np.flatnonzero(visit):
             pattern = ()
             if faulted[j]:
-                rng = streams.shot(first + j, drawn=width)
+                rng = streams.shot(first + lo + j, drawn=width)
                 pattern = _shot_events(rng, block[j, 1 + m :], rates, arities)
-            pattern_of_shot[first + j] = rows.setdefault(pattern, len(rows))
+            pattern_of_shot[lo + j] = rows.setdefault(pattern, len(rows))
         if not faulted.all():
-            pattern_of_shot[first:last][~faulted] = rows[()]
+            pattern_of_shot[lo:hi][~faulted] = rows[()]
     return u_out, flips, pattern_of_shot, list(rows)
 
 
 def _evolve_patterns(
     patterns: list[tuple[tuple[int, int], ...]], gates: list[Gate], num_qubits: int
-) -> np.ndarray:
-    """One final state per fault pattern, as a ``(len(patterns), 2, ..., 2)`` batch.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(first, finals)``: the final states of patterns ``first`` to
+    ``first + len(finals) - 1``, one ``(len(finals), 2**n)`` row block at a time.
 
     The gates act on the input frame, not on the patterns.  The prefix
     unitary ``W_s = G_s ... G_1`` is carried as its ``2**n`` basis columns
@@ -322,8 +326,10 @@ def _evolve_patterns(
     the final state is ``W x``.  At each faulted site the rows that fire are
     gathered once and taken to the output frame, each distinct Pauli acts in
     one kernel call on its slice, and the rows are taken back.  Gate work
-    thus grows with ``2**n`` columns rather than with the pattern count.
-    The amplitudes agree with gate-by-gate evolution up to rounding.
+    thus grows with ``2**n`` columns rather than with the pattern count.  The
+    last step, ``x -> W x``, runs block by block, so the caller can reduce
+    each block before the next one exists.  The amplitudes agree with
+    gate-by-gate evolution up to rounding.
     """
     faults: dict[int, dict[int, list[int]]] = {}
     for row, pattern in enumerate(patterns):
@@ -341,7 +347,7 @@ def _evolve_patterns(
         qubits = controls + targets
         groups = faults[site]
         hit = np.concatenate(list(groups.values()))
-        out = _serial_product(rows[hit], prefix).reshape((len(hit),) + shape)
+        out = serial_product(rows[hit], prefix).reshape((len(hit),) + shape)
         first = 0
         for pauli, group in groups.items():
             last = first + len(group)
@@ -349,30 +355,9 @@ def _evolve_patterns(
                 out[first:last], _pauli_matrix(len(qubits), pauli), qubits, ()
             )
             first = last
-        rows[hit] = _serial_product(out.reshape(len(hit), dim), prefix.conj().T)
+        rows[hit] = serial_product(out.reshape(len(hit), dim), prefix.conj().T)
     frame = evolve(frame, gates[done:])
-    final = _serial_product(rows, frame.reshape(dim, dim))
-    return final.reshape((len(patterns),) + shape)
-
-
-def _serial_product(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``rows @ mat`` as one stack of equal row blocks, each product under
-    ``_SERIAL_MNK`` where the frame allows it.
-
-    Blocks hold at least two rows because NumPy hands a one-row product to
-    GEMV, which OpenBLAS threads at a smaller size still.  Zero rows pad the
-    stack when the blocks do not tile ``rows``; they are dropped from the
-    result.
-    """
-    size = len(rows)
-    most = max(2, (_SERIAL_MNK - 1) // mat.size)
-    count = -(-size // most)
-    block = max(2, -(-size // count))
-    if count * block > size:
-        pad = np.zeros((count * block - size, rows.shape[1]), dtype=rows.dtype)
-        rows = np.concatenate([rows, pad])
-    out = rows.reshape(count, block, rows.shape[1]) @ mat
-    return out.reshape(count * block, mat.shape[1])[:size]
+    yield from serial_blocks(rows, frame.reshape(dim, dim))
 
 
 def _ground_batch(size: int, num_qubits: int) -> np.ndarray:

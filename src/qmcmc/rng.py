@@ -55,12 +55,15 @@ def first_uniforms(seed, shots: np.ndarray) -> np.ndarray:
         raise TypeError(f"shot indices must be uint64, got {shots.dtype}")
     # Key of each round: the seed key plus r Weyl increments, wrapping mod 2**64.
     keys = philox_key(seed) + np.arange(_PHILOX_ROUNDS, dtype=np.uint64)[:, None] * _PHILOX_WEYL
-    c0 = np.ones_like(shots)
-    c1 = np.zeros_like(shots)
-    c2 = shots.copy()
-    c3 = np.zeros_like(shots)
-    spare = np.empty_like(shots)
-    scratch = tuple(np.empty_like(shots) for _ in range(3))
+    # The eight work arrays share one buffer.  Past about 2,000 shots glibc
+    # maps a buffer this size and, once it is freed, raises its mmap and trim
+    # thresholds above it, so the heap no longer shrinks after every call and
+    # regrows, a page fault per 4 KiB, on the next.
+    c0, c1, c2, c3, spare, *scratch = np.empty((8,) + shots.shape, dtype=np.uint64)
+    c0.fill(1)
+    c1.fill(0)
+    c2[...] = shots
+    c3.fill(0)
     with np.errstate(over="ignore"):
         for k0, k1 in keys:
             # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))

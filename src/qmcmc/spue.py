@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._apply import gram_deviation, readonly
+from ._apply import gram_deviation, readonly, serial_product
 from .circuit import Circuit, unitary_of
 from .config import PHASE_TOL, PROPOSAL_TOL, SPECTRUM_TOL, SYMMETRY_TOL, UNITARY_TOL
 from .errors import ConstructionInvalid, NotSymmetric, NotUnitary, Unsupported
@@ -135,7 +135,7 @@ def _check_encodes(spue: Spue, kernel: np.ndarray) -> Spue:
 def walk_operator(spue: Spue) -> WalkOperator:
     """Qubitized walk W = (2 E E^dag - 1) U, with a circuit checked against W when available."""
     refl = 2.0 * spue.isometry.projector() - np.eye(spue.isometry.space_dim)
-    total = refl @ spue.unitary
+    total = serial_product(refl, spue.unitary)
     circuit = None
     iso = spue.isometry
     if (

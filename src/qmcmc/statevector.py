@@ -8,14 +8,18 @@ order (q0, q1, ..., q_{n-1}), qubit q0 is the most significant index bit.
 
 Shot sampling draws each shot from an independent counter-based stream keyed
 by (seed, shot_index), so shots can be evaluated in any order, in parallel,
-or in batches without changing the results.  The outcome uniforms of all
-shots come from one vectorized pass, ``rng.first_uniforms``.
+or in batches without changing the results.  Both samplers, this module's and
+the noise engine's, walk the shots in blocks of ``_SHOT_BLOCK`` through
+``shot_block_counts`` and add each block's counts, so their memory does not
+grow with the shot count.  The outcome uniforms of a block come from one
+vectorized pass, ``rng.first_uniforms``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +30,9 @@ from .errors import PostSelectImpossible
 from .rng import first_uniforms
 
 MAX_QUBITS = 16
+# Shots a sampler evaluates together: it holds the draws and outcomes of one
+# block at a time.
+_SHOT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,12 +157,33 @@ def sample_from_probabilities(
     This exact draw discipline (outcome uniform is the first draw of each
     shot's stream) is shared with the noise-trajectory engine, which makes
     the all-zero noise model reproduce noiseless histograms bit-exactly.
-    ``first_uniforms`` evaluates those first draws for every shot at once,
-    with no per-shot generator.
+    ``first_uniforms`` evaluates those first draws for a whole block of shots
+    at once, with no per-shot generator.
     """
     check_shots(shots)
-    u = first_uniforms(seed, np.arange(shots, dtype=np.uint64))
-    return outcome_counts(invert_cdf(probs, u), num_bits)
+
+    def outcomes_of(first: int, last: int) -> np.ndarray:
+        return invert_cdf(probs, first_uniforms(seed, np.arange(first, last, dtype=np.uint64)))
+
+    return shot_block_counts(shots, num_bits, outcomes_of)
+
+
+def shot_block_counts(
+    shots: int, num_bits: int, outcomes_of: Callable[[int, int], np.ndarray]
+) -> dict[str, int]:
+    """Histogram of ``shots`` outcomes, keyed by ``num_bits``-wide bitstrings
+    in ascending order.
+
+    ``outcomes_of(first, last)`` returns the outcome indices of shots ``first``
+    to ``last - 1``.  It is called once per block of ``_SHOT_BLOCK`` shots,
+    and each block's ``np.bincount`` is added to the total.  A shot's draws
+    depend only on ``(seed, shot)``, so the blocks change no outcome.
+    """
+    counts = np.zeros(2**num_bits, dtype=np.int64)
+    for first in range(0, shots, _SHOT_BLOCK):
+        block = outcomes_of(first, min(shots, first + _SHOT_BLOCK))
+        counts += np.bincount(block, minlength=len(counts))
+    return {format(int(k), f"0{num_bits}b"): int(counts[k]) for k in np.flatnonzero(counts)}
 
 
 def check_shots(shots) -> None:
@@ -176,9 +204,3 @@ def invert_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probs)
     cum[-1] = max(cum[-1], 1.0)
     return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-
-
-def outcome_counts(outcomes: np.ndarray, num_bits: int) -> dict[str, int]:
-    """Histogram of outcome indices, keyed by ``num_bits``-wide bitstrings."""
-    counts = np.bincount(outcomes)
-    return {format(int(k), f"0{num_bits}b"): int(counts[k]) for k in np.flatnonzero(counts)}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -12,6 +13,15 @@ from scipy.linalg import schur
 from qmcmc.circuit import Circuit
 from qmcmc.markov import Distribution, MarkovKernel
 from qmcmc.noise import NoiseModel
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` holds above what was live before it, under a
+    running ``tracemalloc``."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    call()
+    return tracemalloc.get_traced_memory()[1] - base
 
 
 def random_reversible_kernel(rng: np.random.Generator, n: int) -> tuple[MarkovKernel, Distribution]:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 from math import pi
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from qmcmc import noise
-from qmcmc._apply import apply_matrix
+from qmcmc import noise, statevector
+from qmcmc._apply import apply_matrix, serial_product
 from qmcmc.circuit import Circuit
 from qmcmc.errors import SchemaError
 from qmcmc.experiments import (
@@ -27,7 +28,7 @@ from qmcmc.rng import shot_rng
 from qmcmc.statevector import sample, statevector_of, zero_state
 from qmcmc.transpile import transpile_native
 
-from conftest import noise_models
+from conftest import noise_models, traced_peak
 
 
 def _bell_circuit():
@@ -323,6 +324,81 @@ class TestDrawBlocks:
         assert handed == want
 
 
+class TestShotBlocks:
+    """Shot blocks of a small, ragged size change no histogram and bound memory."""
+
+    @pytest.mark.parametrize(
+        "circ, model",
+        [
+            pytest.param(
+                transpile_native(cswap_state_prep_circuit(pi / 6)).circuit,
+                NoiseModel(p1=2e-3, p2=5e-2, p_meas=2e-2),
+                id="native",
+            ),
+            pytest.param(
+                _multi_controlled_circuit(),
+                NoiseModel(p1=0.02, p2=0.1, p_meas=0.03, attach="logical"),
+                id="logical",
+            ),
+        ],
+    )
+    def test_blocks_equal_sequential(self, monkeypatch, circ, model):
+        shots, seed = 150, 5
+        whole = sample_with_noise(circ, model, shots, seed)
+        ranges = []
+        draw_patterns = noise._draw_patterns
+
+        def recording(seed, first, last, *rest):
+            ranges.append((first, last))
+            return draw_patterns(seed, first, last, *rest)
+
+        monkeypatch.setattr(noise, "_draw_patterns", recording)
+        monkeypatch.setattr(statevector, "_SHOT_BLOCK", 41)
+        hist = sample_with_noise(circ, model, shots, seed)
+        assert ranges == [(0, 41), (41, 82), (82, 123), (123, 150)]
+        assert hist == whole == _sequential_histogram(circ, model, shots, seed)
+        assert list(hist) == sorted(hist)
+
+    def test_zero_noise_blocks(self, monkeypatch):
+        circ = _multi_controlled_circuit()
+        whole = sample_with_noise(circ, ZERO_NOISE, 300, seed=2)
+        starts = []
+        first_uniforms = statevector.first_uniforms
+
+        def recording(seed, shots):
+            starts.append(int(shots[0]))
+            return first_uniforms(seed, shots)
+
+        monkeypatch.setattr(statevector, "first_uniforms", recording)
+        monkeypatch.setattr(statevector, "_SHOT_BLOCK", 71)
+        blocked = sample_with_noise(circ, ZERO_NOISE, 300, seed=2)
+        assert starts == [0, 71, 142, 213, 284]
+        assert blocked == whole
+
+    def test_memory_does_not_grow_with_shots(self, monkeypatch):
+        # Each of the 13 sites fires with probability 1/2, so almost every
+        # shot has a pattern of its own, each 128-shot block evolves about 128
+        # of them, and the blocks' peaks are alike.
+        qubits = [f"q{i}" for i in range(7)]
+        circ = Circuit(qubits)
+        for q in qubits:
+            circ.h(q)
+        for a, b in zip(qubits, qubits[1:]):
+            circ.cx(a, b)
+        circ.measure(*qubits)
+        circ.freeze()
+        model = NoiseModel(p1=0.5, p2=0.5, p_meas=0.0, attach="logical")
+        monkeypatch.setattr(statevector, "_SHOT_BLOCK", 128)
+        tracemalloc.start()
+        try:
+            sample_with_noise(circ, model, 256, seed=0)  # fills the kernel's plan and Pauli caches
+            small = traced_peak(lambda: sample_with_noise(circ, model, 256, seed=0))
+            large = traced_peak(lambda: sample_with_noise(circ, model, 8 * 256, seed=0))
+        finally:
+            tracemalloc.stop()
+        assert large <= 1.2 * small, (small, large)
+
+
 def _sequential_final_state(gates, pattern, n):
     """Gate by gate with ``apply_matrix``, each fault Pauli right after its gate."""
     events = dict(pattern)
@@ -364,7 +440,11 @@ class TestInputFrameEngine:
             ((0, 3), (later, 1), (last, 2)),
             ((multi, 1), (later, 2), (last, 1)),
         ]
-        finals = noise._evolve_patterns(patterns, gates, n).reshape(len(patterns), -1)
+        # Read through the row-block tail the sampler reduces, in row order.
+        blocks = list(noise._evolve_patterns(patterns, gates, n))
+        assert [first for first, _ in blocks] == list(range(0, len(patterns), len(blocks[0][1])))
+        finals = np.concatenate([final for _, final in blocks])
+        assert finals.shape == (len(patterns), 2**n)
         for pattern, final in zip(patterns, finals):
             expected = _sequential_final_state(gates, pattern, n)
             assert np.max(np.abs(final - expected)) < 1e-12, pattern
@@ -387,10 +467,10 @@ class TestInputFrameEngine:
         rng = np.random.default_rng(dim * 1000 + count)
         rows = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        got = noise._serial_product(rows, mat)
+        got = serial_product(rows, mat)
         assert got.shape == (count, dim)
         assert np.max(np.abs(got - rows @ mat)) < 1e-12 * dim
-        assert np.max(np.abs(noise._serial_product(rows, mat.conj().T) - rows @ mat.conj().T)) < 1e-12 * dim
+        assert np.max(np.abs(serial_product(rows, mat.conj().T) - rows @ mat.conj().T)) < 1e-12 * dim
 
 
 _PAULI_BASIS = (

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from qmcmc import statevector
 from qmcmc._apply import apply_matrix_nd
 from qmcmc.circuit import Circuit, GateApplication
 from qmcmc.errors import AddressingError, NotUnitary, PostSelectImpossible
@@ -13,12 +16,13 @@ from qmcmc.statevector import (
     from_amplitudes,
     post_select,
     sample,
+    sample_from_probabilities,
     simulate,
     statevector_of,
     zero_state,
 )
 
-from conftest import haar_unitary, moveaxis_apply, random_circuit
+from conftest import haar_unitary, moveaxis_apply, random_circuit, traced_peak
 
 
 class TestApplyGate:
@@ -146,6 +150,36 @@ class TestSampling:
     def test_marginal_order(self):
         state = basis_state(2, 0b01)  # q0=0, q1=1
         assert sample(state, [1, 0], 10, seed=0) == {"10": 10}
+
+
+class TestShotBlocks:
+    PROBS = np.array([0.05, 0.25, 0.3, 0.4])
+
+    def test_blocks_equal_one_block(self, monkeypatch):
+        whole = sample_from_probabilities(self.PROBS, 2, 100, seed=9)
+        drawn = []
+        first_uniforms = statevector.first_uniforms
+
+        def recording(seed, shots):
+            drawn.append((int(shots[0]), len(shots)))
+            return first_uniforms(seed, shots)
+
+        monkeypatch.setattr(statevector, "first_uniforms", recording)
+        monkeypatch.setattr(statevector, "_SHOT_BLOCK", 23)
+        blocked = sample_from_probabilities(self.PROBS, 2, 100, seed=9)
+        # Absolute shot indices, in blocks of 23 with a ragged last one.
+        assert drawn == [(0, 23), (23, 23), (46, 23), (69, 23), (92, 8)]
+        assert blocked == whole
+        assert list(blocked) == sorted(blocked) and sum(blocked.values()) == 100
+
+    def test_memory_does_not_grow_with_shots(self):
+        tracemalloc.start()
+        try:
+            small = traced_peak(lambda: sample_from_probabilities(self.PROBS, 2, 2**17, seed=1))
+            large = traced_peak(lambda: sample_from_probabilities(self.PROBS, 2, 2**20, seed=1))
+        finally:
+            tracemalloc.stop()
+        assert large <= 1.2 * small, (small, large)
 
 
 class TestPostSelect:
