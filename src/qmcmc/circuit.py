@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import cos, sin
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .config import UNITARY_TOL
 from .errors import AddressingError, NotUnitary, QmcmcError, SchemaError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+_T = TypeVar("_T")
 
 # Shared by every op of their kind and read by noise and algorithms, so read-only.
 _FIXED = {
@@ -178,6 +179,9 @@ class Circuit:
         # Measured qubits in readout order (dict keys: ordered, O(1) lookup).
         self._measured: dict[str, None] = {}
         self._frozen = False
+        # Dense results of the frozen circuit (``unitary_of``, the |0...0>
+        # evolution of ``statevector``), by kind; see ``_kept``.
+        self._dense: dict[str, object] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -205,6 +209,23 @@ class Circuit:
     def freeze(self) -> "Circuit":
         self._frozen = True
         return self
+
+    def _kept(self, kind: str, compute: Callable[[], _T]) -> _T:
+        """``compute()``, a dense result of this circuit's ops.
+
+        A frozen circuit's ops cannot change, so its result is computed on the
+        first call, kept under ``kind`` as long as the circuit, and shared by
+        every later call; an array is made read-only for that.  An unfrozen
+        circuit gets a fresh result on every call.
+        """
+        if not self._frozen:
+            return compute()
+        if kind not in self._dense:
+            result = compute()
+            if isinstance(result, np.ndarray):
+                result.setflags(write=False)
+            self._dense[kind] = result
+        return self._dense[kind]
 
     def _add(self, kind, targets, controls=(), params=(), matrix=None) -> "Circuit":
         return self.append(GateApplication(kind, targets, controls, params, matrix))
@@ -405,7 +426,9 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the ordered gate product; measurements are rejected.
 
     Its ``16 * 4**n`` bytes must fit in ``DENSE_BYTES``, so circuits are
-    limited to 11 qubits.
+    limited to 11 qubits.  A frozen circuit's unitary is computed once, kept
+    as long as the circuit, and shared, read-only, by every call; an unfrozen
+    circuit gets a fresh, writable array on every call.
     """
     if circuit.has_measurement():
         raise NotUnitary("circuit contains measurements")
@@ -413,10 +436,14 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     holds = "a circuit unitary holds 2**n x 2**n amplitudes"
     check_dense_bytes(16 * 4**n, holds, f"{n} qubits exceed")
     dim = 2**n
-    # Row b of the batch is the evolution of basis state |b>; the circuit
-    # unitary has those as columns.
-    batch = np.eye(dim, dtype=complex).reshape((dim,) + (2,) * circuit.num_qubits)
-    return evolve(batch, circuit.gates()).reshape(dim, dim).T.copy()
+
+    def compute() -> np.ndarray:
+        # Row b of the batch is the evolution of basis state |b>; the circuit
+        # unitary has those as columns.
+        batch = np.eye(dim, dtype=complex).reshape((dim,) + (2,) * n)
+        return evolve(batch, circuit.gates()).reshape(dim, dim).T.copy()
+
+    return circuit._kept("unitary", compute)
 
 
 def controlled(circuit: Circuit, control: str) -> Circuit:

@@ -8,8 +8,11 @@ shots concurrently, in batches, or one by one yields identical outcomes.
 Two ways read these streams.  ``first_uniforms`` evaluates Philox4x64-10
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) for
 many shots at once in NumPy and returns the first ``random()`` of each shot's
-stream; the noiseless sampler needs nothing more.  ``ShotStreams`` re-seats
-NumPy's own Philox generator per shot, for callers that draw further.
+stream; the noiseless sampler needs nothing more.  Its counter is
+``(1, 0, s, 0)`` for shot ``s``, so the lanes that do not depend on ``s`` in
+the first two rounds are constants, computed once per call rather than per
+shot, with every output bit unchanged.  ``ShotStreams`` re-seats NumPy's own
+Philox generator per shot, for callers that draw further.
 """
 
 from __future__ import annotations
@@ -50,22 +53,42 @@ def first_uniforms(seed, shots: np.ndarray) -> np.ndarray:
     the counter and keeps word 0 of the Philox4x64-10 block
     ``(1, 0, s, 0)`` under ``philox_key(seed)``, as ``(word0 >> 11) * 2**-53``.
     ``shots`` must be a ``uint64`` array.
+
+    Only ``s`` varies between shots, so some lanes of the first two rounds
+    hold the same value for every shot and are not computed per shot.  In
+    round 1, ``M0 * c0`` is ``M0 * 1``, whose high word is 0, so the round
+    leaves ``c2 = k1`` and ``c3 = M0``.  In round 2, ``M1 * c2`` is the
+    scalar ``M1 * k1``, so the round leaves the constant ``c1 = lo(M1 k1)``
+    and makes ``c0`` from the previous ``c1`` by one XOR.  Round 10 computes
+    word 0 alone.  Every computed word is the one the full rounds give, so the
+    output is unchanged: 17 of the 20 high products and 16 of the 20 low
+    products remain per shot.
     """
     if shots.dtype != np.uint64:
         raise TypeError(f"shot indices must be uint64, got {shots.dtype}")
     # Key of each round: the seed key plus r Weyl increments, wrapping mod 2**64.
     keys = philox_key(seed) + np.arange(_PHILOX_ROUNDS, dtype=np.uint64)[:, None] * _PHILOX_WEYL
+    # Round 2's product of the constant lane c2 = k1, in exact integers.
+    hi_k1, lo_k1 = divmod(int(_PHILOX_M1) * int(keys[0, 1]), 1 << 64)
     # The eight work arrays share one buffer.  Past about 2,000 shots glibc
     # maps a buffer this size and, once it is freed, raises its mmap and trim
     # thresholds above it, so the heap no longer shrinks after every call and
     # regrows, a page fault per 4 KiB, on the next.
     c0, c1, c2, c3, spare, *scratch = np.empty((8,) + shots.shape, dtype=np.uint64)
-    c0.fill(1)
-    c1.fill(0)
-    c2[...] = shots
-    c3.fill(0)
     with np.errstate(over="ignore"):
-        for k0, k1 in keys:
+        # Round 1 on (1, 0, s, 0) under keys (k0, k1): (hi(M1 s) ^ k0, lo(M1 s), k1, M0).
+        _mulhi(shots, _PHILOX_M1, c0, scratch)
+        c0 ^= keys[0, 0]
+        np.multiply(shots, _PHILOX_M1, out=c1)
+        # Round 2 on (c0, c1, k1, M0) under keys (k0', k1'):
+        # (c1 ^ hi(M1 k1) ^ k0', lo(M1 k1), hi(M0 c0) ^ M0 ^ k1', lo(M0 c0)).
+        _mulhi(c0, _PHILOX_M0, c2, scratch)
+        c2 ^= _PHILOX_M0 ^ keys[1, 1]
+        c0 *= _PHILOX_M0
+        c1 ^= np.uint64(hi_k1) ^ keys[1, 0]
+        c0, c1, c3 = c1, c3, c0
+        c1.fill(lo_k1)
+        for k0, k1 in keys[2:-1]:
             # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
             _mulhi(c0, _PHILOX_M0, spare, scratch)
             spare ^= c3
@@ -76,6 +99,10 @@ def first_uniforms(seed, shots: np.ndarray) -> np.ndarray:
             c3 ^= k0
             c2 *= _PHILOX_M1
             c0, c1, c2, c3, spare = c3, c2, spare, c0, c1
+        # Round 10, word 0 only: hi(M1 c2) ^ c1 ^ k0.
+        _mulhi(c2, _PHILOX_M1, c0, scratch)
+        c0 ^= c1
+        c0 ^= keys[-1, 0]
     c0 >>= _U11
     return c0.astype(np.float64) * 2.0**-53
 

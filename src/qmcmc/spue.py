@@ -22,7 +22,7 @@ against its kernel, and circuits meet matrices only in ``walk_operator``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from math import acos, pi, sin, sqrt
 from typing import Sequence
 
@@ -80,12 +80,17 @@ class PartialIsometry:
 
 @dataclass(frozen=True, eq=False)
 class Spue:
-    """Unitary plus partial isometry with a symmetric encoded operator."""
+    """Unitary plus partial isometry with a symmetric encoded operator.
+
+    ``encoded`` is that operator, E^dag U E, computed once when the encoding
+    is built and read-only.
+    """
 
     unitary: np.ndarray
     isometry: PartialIsometry
     circuit: Circuit | None = None
     name: str = ""
+    encoded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u = readonly(self.unitary, complex)
@@ -102,7 +107,8 @@ class Spue:
                 "only the encoded operator's symmetry is enforced",
                 stacklevel=3,
             )
-        encoded_operator(self)  # raises NotSymmetric on a broken encoding
+        # Raises NotSymmetric on a broken encoding.
+        object.__setattr__(self, "encoded", encoded_operator(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,18 +121,19 @@ class WalkOperator:
 
 
 def encoded_operator(spue: Spue) -> np.ndarray:
-    """A = E^dag U E; raises NotSymmetric if the encoding is broken."""
+    """A = E^dag U E, read-only; raises NotSymmetric if the encoding is broken."""
     e = spue.isometry.matrix
     a = e.conj().T @ spue.unitary @ e
     asym = float(np.max(np.abs(a - a.T)))
     if not asym <= SYMMETRY_TOL:
         raise NotSymmetric(f"encoded operator asymmetry {asym:.3e}")
+    a.setflags(write=False)
     return a
 
 
 def _check_encodes(spue: Spue, kernel: np.ndarray) -> Spue:
     """Return ``spue``; raise ConstructionInvalid unless E^dag U E is ``kernel``."""
-    dev = float(np.max(np.abs(encoded_operator(spue) - kernel)))
+    dev = float(np.max(np.abs(spue.encoded - kernel)))
     if not dev <= SPECTRUM_TOL:
         raise ConstructionInvalid(f"{spue.name} encoded operator is {dev:.3e} from its kernel")
     return spue
@@ -191,7 +198,7 @@ def check_spectral_correspondence(walk: WalkOperator) -> SpectralReport:
     make Ev a fixed (respectively negated) vector of the walk.  Violations
     are collected in the report rather than raised.
     """
-    a = encoded_operator(walk.spue)
+    a = walk.spue.encoded
     e = walk.spue.isometry.matrix
     u = walk.spue.unitary
     w = walk.total

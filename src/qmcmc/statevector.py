@@ -103,17 +103,28 @@ def simulate(circuit: Circuit, rng: np.random.Generator | None = None) -> Simula
 
 
 def statevector_of(circuit: Circuit) -> StateVector:
-    """Final state of a measurement-free circuit run from |0...0>."""
+    """Final state of a measurement-free circuit run from |0...0>.
+
+    A frozen circuit's state is computed once, kept as long as the circuit,
+    and the same read-only ``StateVector`` is returned by every call.
+    """
     if circuit.has_measurement():
         raise ValueError("circuit contains measurements; simulate it with an rng")
     return _evolved(circuit)
 
 
 def _evolved(circuit: Circuit) -> StateVector:
-    """State after the circuit's gates, from |0...0>; measure ops are skipped."""
+    """State after the circuit's gates, from |0...0>; measure ops are skipped.
+
+    Kept on a frozen circuit (``Circuit._kept``).
+    """
     n = circuit.num_qubits
-    batch = zero_state(n).amps.reshape((1,) + (2,) * n)
-    return StateVector(n, evolve(batch, circuit.gates()).reshape(-1))
+
+    def compute() -> StateVector:
+        batch = zero_state(n).amps.reshape((1,) + (2,) * n)
+        return StateVector(n, evolve(batch, circuit.gates()).reshape(-1))
+
+    return circuit._kept("state", compute)
 
 
 def _project(state: StateVector, qubit: int, value: int) -> StateVector:

@@ -104,6 +104,24 @@ class TestPhaseEstimation:
         pe = phase_estimation(walk.circuit, embedded, t=2, shots=128, seed=1)
         assert pe.histogram == {0: 128}
 
+    def test_walk_circuit_is_evolved_once(self, monkeypatch):
+        # dual_walk checks its frozen walk circuit with unitary_of, and at
+        # pi/4 checks V|0>; phase estimation of that circuit on that state
+        # evolves nothing more.
+        calls = []
+
+        def counted(batch, gates):
+            calls.append(batch.shape[0])
+            return evolve(batch, gates)
+
+        monkeypatch.setattr("qmcmc.circuit.evolve", counted)
+        monkeypatch.setattr("qmcmc.statevector.evolve", counted)
+        walk, eigenstate_prep = dual_walk(pi / 4)
+        built = len(calls)  # the encoding unitary, the isometry prep, the walk, V|0>
+        pe = phase_estimation(walk.circuit, statevector_of(eigenstate_prep), 3, 100, 0)
+        assert pe.histogram == {0: 100}
+        assert built == 4 and len(calls) == built
+
     @pytest.mark.parametrize(
         "case, t",
         [("dual-eigenstate", 3), ("dual-eigenstate", 8), ("lcu-zero", 4)]

@@ -53,6 +53,44 @@ class TestUnitaryOf:
         assert np.max(np.abs(unitary_of(both) - np.eye(8))) < 1e-10
 
 
+class TestFrozenStore:
+    """A frozen circuit keeps its dense results; an unfrozen one never does."""
+
+    def test_frozen_unitary_is_computed_once_and_read_only(self, rng):
+        circ = random_circuit(rng, ["a", "b", "c"], depth=20).freeze()
+        u = unitary_of(circ)
+        assert unitary_of(circ) is u
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0
+        assert unitary_of(circ.copy()).tobytes() == u.tobytes()
+
+    def test_append_after_unitary_changes_the_next_result(self, rng):
+        circ = random_circuit(rng, ["a", "b"], depth=10)
+        u = unitary_of(circ)
+        assert u.flags.writeable and unitary_of(circ) is not u
+        circ.x("a")
+        x_a = np.kron([[0, 1], [1, 0]], np.eye(2))
+        assert np.max(np.abs(unitary_of(circ) - x_a @ u)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "derive, expected",
+        [
+            (Circuit.copy, lambda u: u),
+            (Circuit.inverse, lambda u: u.conj().T),
+            (lambda c: c.renamed({"a": "z"}), lambda u: u),
+        ],
+        ids=["copy", "inverse", "renamed"],
+    )
+    def test_derived_circuits_start_with_an_empty_store(self, rng, derive, expected):
+        circ = random_circuit(rng, ["a", "b", "c"], depth=20).freeze()
+        u = unitary_of(circ)
+        derived = derive(circ).freeze()
+        v = unitary_of(derived)
+        assert v is not u and unitary_of(derived) is v
+        assert np.max(np.abs(v - expected(u))) < 1e-12
+
+
 class TestControlled:
     def test_controlled_z_is_cz(self):
         circ = Circuit(["a"]).z("a")

@@ -18,6 +18,8 @@ _SHOTS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8)
 @example(seed=0, shots=[0])
 @example(seed=(7, 1), shots=[2**64 - 1])
 @example(seed=2**31 - 1, shots=[0, 2**64 - 1, 2**63, 1])
+@example(seed=5, shots=list(range(8)))
+@example(seed=(2**64 - 1, 3), shots=[2**64 - 2, 2**64 - 1])
 def test_first_uniforms_equal_each_shot_stream(seed, shots):
     got = first_uniforms(seed, np.array(shots, dtype=np.uint64))
     want = [shot_rng(seed, s).random() for s in shots]

@@ -44,6 +44,15 @@ class TestApplyGate:
         bell = statevector_of(Circuit(["q0", "q1"]).h("q0").cx("q0", "q1"))
         assert np.allclose(bell.amps, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
+    def test_frozen_circuit_state_is_computed_once(self):
+        circ = Circuit(["q0", "q1"]).h("q0").cx("q0", "q1").freeze()
+        state = statevector_of(circ)
+        assert statevector_of(circ) is state
+        unfrozen = circ.copy()
+        fresh = statevector_of(unfrozen)
+        assert statevector_of(unfrozen) is not fresh
+        assert fresh.amps.tobytes() == state.amps.tobytes()
+
     def test_rejects_duplicate_qubits(self):
         with pytest.raises(AddressingError):
             Circuit(["q0", "q1"]).cx("q0", "q0")
