@@ -66,9 +66,17 @@ def serial_blocks(rows: np.ndarray, mat: np.ndarray) -> Iterator[tuple[int, np.n
     Zero rows pad the ragged last block to that height, and its product is cut
     back, so every row goes through the same kind of kernel call.  A caller that
     reduces each block as it comes never holds the whole product.
+
+    Where even two rows reach ``_SERIAL_MNK`` (``mat`` of 2**15 entries or
+    more), no block stays on one thread, and thin blocks would only reread
+    ``mat`` once each; the blocks then hold about ``_SERIAL_MNK`` output
+    entries each, which still bounds the memory of one block.
     """
     size = len(rows)
-    most = max(2, (_SERIAL_MNK - 1) // mat.size)
+    if 2 * mat.size < _SERIAL_MNK:
+        most = (_SERIAL_MNK - 1) // mat.size
+    else:
+        most = max(2, _SERIAL_MNK // mat.shape[1])
     count = max(1, -(-size // most))
     block = max(2, -(-size // count))
     for first in range(0, size, block):

@@ -59,6 +59,8 @@ class ExperimentSpec:
         check_phase_bits(self.t)
         if not (_is_count(self.shots) and _is_count(self.t)):  # the report is JSON
             raise ValueError(f"shots and t must be plain ints, not {self.shots!r} and {self.t!r}")
+        if not _is_count(self.seed):  # so one spec always gives one report
+            raise ValueError(f"seed must be a plain int >= 0, not {self.seed!r}")
         if not (is_plain_real(self.delta) and 0 < self.delta < 1):
             raise ValueError(f"delta must be a float in (0, 1), not {self.delta!r}")
         angle = self.acceptance_angle

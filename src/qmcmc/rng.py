@@ -13,6 +13,13 @@ stream; the noiseless sampler needs nothing more.  Its counter is
 the first two rounds are constants, computed once per call rather than per
 shot, with every output bit unchanged.  ``ShotStreams`` re-seats NumPy's own
 Philox generator per shot, for callers that draw further.
+
+A seed is an int >= 0 or a non-empty tuple of them; ``philox_key`` turns it
+into the 128-bit key that ``np.random.SeedSequence`` would give, bit for bit,
+without importing ``numpy.random``.  So the noiseless routes (the sampler,
+phase estimation, mean estimation and the all-zero noise model) never load
+it; ``shot_rng`` and ``ShotStreams``, which the noisy engine and its per-shot
+oracle use, import it on first use.
 """
 
 from __future__ import annotations
@@ -30,11 +37,66 @@ _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 _U11 = np.uint64(11)
+_MASK32 = 0xFFFFFFFF  # the same mask as a Python int, for the key derivation
 
 
 def philox_key(seed) -> np.ndarray:
-    """Derive a 128-bit Philox key from an integer seed or tuple of integers."""
-    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    """The 128-bit Philox key of ``seed``, as two ``uint64`` words.
+
+    ``seed`` is a non-``bool`` integer >= 0 (NumPy integers included) or a
+    non-empty tuple of them; anything else, ``None`` among it, raises
+    ``ValueError``.  The key equals, bit for bit,
+    ``np.random.SeedSequence(seed).generate_state(2, np.uint64)``: this is
+    that algorithm (NumPy's ``bit_generator.pyx``) on Python integers, all of
+    it mod 2**32, so deriving a key does not import ``numpy.random``.  Each
+    int gives its little-endian 32-bit words (0 gives one zero word) and a
+    tuple concatenates them.  The first four words (zero-padded) are hashed
+    into a pool of four, every pool word is mixed into every other, each
+    later word is mixed into all four, and the key is a final hash of the
+    pool.  One hash constant runs through all the hashing of the pool.
+    """
+    ints = seed if isinstance(seed, tuple) and seed else (seed,)
+    words = []
+    for n in ints:
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+            raise ValueError(
+                f"seed must be an int >= 0 or a non-empty tuple of them, not {seed!r}"
+            )
+        n = int(n)
+        words.append(n & _MASK32)
+        while n := n >> 32:
+            words.append(n & _MASK32)
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    out = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool))
+    return np.array([out[0] | out[1] << 32, out[2] | out[3] << 32], dtype=np.uint64)
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's 32-bit hash, whose constant starts at ``h`` and is
+    multiplied by ``mult`` at every call."""
+
+    def hash32(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * mult & _MASK32
+        v = v * h & _MASK32
+        return v ^ v >> 16
+
+    return hash32
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's 32-bit mix of ``y`` into ``x``."""
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return r ^ r >> 16
 
 
 def shot_rng(seed, shot_index: int) -> np.random.Generator:

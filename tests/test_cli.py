@@ -150,6 +150,11 @@ def test_run_out_of_memory_is_usage_error(monkeypatch, capsys):
     assert "usage error: Unable to allocate" in capsys.readouterr().err
 
 
+def test_run_negative_seed_is_usage_error(capsys):
+    assert main(["run", "--experiment", "lcu-state-prep", "--shots", "10", "--seed", "-1"]) == 2
+    assert "seed must be a plain int >= 0, not -1" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--experiment", "not-a-thing"])
@@ -192,7 +197,9 @@ def test_compare_unknown_noise_key_is_schema_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("t", 2.5), ("t", True), ("shots", 2**64 + 1)], ids=["t-2.5", "t-true", "shots-2**64+1"]
+    "field, value",
+    [("t", 2.5), ("t", True), ("shots", 2**64 + 1), ("seed", "7"), ("seed", -1), ("seed", None)],
+    ids=["t-2.5", "t-true", "shots-2**64+1", "seed-str", "seed-negative", "seed-null"],
 )
 def test_compare_spec_count_out_of_rule_is_schema_error(tmp_path, capsys, field, value):
     payload = _stored_report(tmp_path)

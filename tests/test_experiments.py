@@ -72,6 +72,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=match):
             ExperimentSpec("cswap-state-prep", shots=10, **{field: value})
 
+    # One spec must give one report: no OS entropy, and a seed JSON holds as given.
+    @pytest.mark.parametrize(
+        "seed", [None, True, np.int64(5), -1, 1.5, "7", (1, 2)], ids=repr
+    )
+    def test_seed_is_a_plain_count(self, seed):
+        with pytest.raises(ValueError, match="seed must be a plain int >= 0"):
+            ExperimentSpec("cswap-state-prep", shots=10, seed=seed)
+
     def test_numpy_float64_angle_reports(self):
         spec = ExperimentSpec("cswap-state-prep", acceptance_angle=np.float64(0.5), shots=10)
         assert json.loads(run(spec).to_json())["spec"]["acceptance_angle"] == 0.5

@@ -1,7 +1,7 @@
 """What the package and its tests import.
 
 The package runs on NumPy alone: no route loads SciPy, which only the tests
-use.  Every
+use, and no noiseless route loads ``numpy.random``.  Every
 imported name in ``src/qmcmc``, ``tests`` and ``scripts`` is used in its
 module; ``__init__.py`` files re-export and ``__future__`` imports are
 directives, so both are skipped.
@@ -10,6 +10,7 @@ directives, so both are skipped.
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -63,6 +64,59 @@ def test_runtime_runs_without_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert '"cswap-state-prep"' in done.stdout
+
+
+# Every noiseless route, printed as one JSON object.  With "blocked" as its
+# argument the script first makes every numpy.random import raise ImportError.
+_NOISELESS_ROUTES = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy.random"] = None
+import numpy as np
+import qmcmc
+from qmcmc.algorithms import FunctionOracle, phase_estimation, prepare_stationary, qae_mean
+from qmcmc.circuit import unitary_of
+from qmcmc.experiments import reference_pipelines
+from qmcmc.markov import two_state_kernel
+from qmcmc.noise import ZERO_NOISE, sample_with_noise
+from qmcmc.spue import szegedy_walk, two_state_row_prep
+from qmcmc.statevector import from_amplitudes
+
+out = {}
+measured = [n for n in qmcmc.EXPERIMENT_NAMES if n != "spectral-check"]
+assert len(measured) == 6, measured
+for name in measured:
+    out[name] = qmcmc.run(qmcmc.ExperimentSpec(name, shots=50, seed=7)).to_json()
+pipeline = reference_pipelines()["cswap-state-prep"]
+out["zero-noise"] = sample_with_noise(pipeline, ZERO_NOISE, 200, 7)
+kernel = two_state_kernel(0.25)
+walk = szegedy_walk(kernel)
+initial = from_amplitudes(unitary_of(two_state_row_prep(kernel))[:, 0])
+out["phase_estimation"] = phase_estimation(walk.circuit, initial, 4, 200, (7, 1)).histogram
+uniform = from_amplitudes(np.full(2, 2**-0.5))
+oracle = FunctionOracle.from_table([0.2, 0.9], 1)
+out["qae_mean"] = {repr(k): v for k, v in qae_mean(uniform, oracle, 4, 200, 7).items()}
+state, prob = prepare_stationary(walk, initial, 3)
+out["prepare_stationary"] = [state.amps.tobytes().hex(), prob]
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_noiseless_routes_never_load_numpy_random():
+    # philox_key derives the key itself, so only the noisy engine needs numpy.random.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    runs = {
+        mode: subprocess.run(
+            [sys.executable, "-c", _NOISELESS_ROUTES, mode],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        for mode in ("blocked", "open")
+    }
+    for done in runs.values():
+        assert done.returncode == 0, done.stderr
+    assert runs["blocked"].stdout == runs["open"].stdout
+    assert len(json.loads(runs["blocked"].stdout)["phase_estimation"]) > 1
 
 
 def _unused_imports(path: Path) -> list[str]:

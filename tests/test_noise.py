@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from qmcmc import noise, statevector
-from qmcmc._apply import apply_matrix, serial_product
+from qmcmc._apply import apply_matrix, serial_blocks, serial_product
 from qmcmc.circuit import Circuit
 from qmcmc.errors import SchemaError
 from qmcmc.experiments import (
@@ -471,6 +471,15 @@ class TestInputFrameEngine:
         assert got.shape == (count, dim)
         assert np.max(np.abs(got - rows @ mat)) < 1e-12 * dim
         assert np.max(np.abs(serial_product(rows, mat.conj().T) - rows @ mat.conj().T)) < 1e-12 * dim
+
+    @pytest.mark.parametrize("dim, blocks", [(256, 1), (1024, 16)])
+    def test_large_matrix_blocks_hold_2_16_entries(self, dim, blocks):
+        # Two rows of these matrices already reach the threaded size, so
+        # thinner blocks would only reread the matrix once each.
+        mat = np.eye(dim, dtype=complex)
+        height = 2**16 // dim
+        got = [(first, product.shape) for first, product in serial_blocks(mat, mat)]
+        assert got == [(b * height, (height, dim)) for b in range(blocks)]
 
 
 _PAULI_BASIS = (

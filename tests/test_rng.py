@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmcmc.rng import ShotStreams, first_uniforms, shot_rng
+from qmcmc.rng import ShotStreams, first_uniforms, philox_key, shot_rng
 from qmcmc.statevector import invert_cdf, sample_from_probabilities
 
 _SEEDS = st.one_of(
@@ -11,6 +11,49 @@ _SEEDS = st.one_of(
     st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
 )
 _SHOTS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(
+        st.integers(0, 2**256 - 1),
+        st.lists(st.integers(0, 2**64), min_size=1, max_size=6).map(tuple),
+    )
+)
+@example(seed=0)
+@example(seed=2**32 - 1)
+@example(seed=2**32)
+@example(seed=2**128 - 1)
+@example(seed=(2**32, 0))
+@example(seed=(5, 0))
+@example(seed=(0,))
+@example(seed=(1, 2, 3, 4, 5, 6))
+@example(seed=np.int64(5))
+@example(seed=(np.uint64(2**64 - 1), np.int8(3)))
+def test_key_equals_numpy_seed_sequence(seed):
+    # first_uniforms and shot_rng both read philox_key, so only this pins the key.
+    want = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    got = philox_key(seed)
+    assert got.dtype == np.uint64 and got.tolist() == want.tolist()
+
+
+_BAD_SEEDS = [None, True, False, -1, 1.5, "7", [1, 2], (), (1, -1), (True,), ((1, 2),)]
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+@pytest.mark.parametrize(
+    "draw",
+    [
+        philox_key,
+        ShotStreams,
+        lambda seed: sample_from_probabilities(np.array([0.5, 0.5]), 1, 10, seed),
+    ],
+    ids=["philox_key", "ShotStreams", "sampler"],
+)
+def test_rejects_seeds_that_are_not_counts(draw, seed):
+    # None would draw OS entropy: two runs of one seed would differ.
+    with pytest.raises(ValueError, match="seed must be an int >= 0"):
+        draw(seed)
 
 
 @settings(max_examples=60, deadline=None)
