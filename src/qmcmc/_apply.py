@@ -21,13 +21,15 @@ The module also owns the rules that other modules share: the byte budget
 ``DENSE_BYTES`` and its one comparison, the one dense product
 (``serial_blocks``, ``serial_product``) that keeps OpenBLAS on the calling
 thread, the Gram deviation behind every unitarity and isometry check, the one
-number-type rule for gate parameters, spec fields and noise rates, and the
+number-type rule for gate parameters, spec fields and noise rates, the one
+count rule (shots, phase bits, powers and register widths), and the
 read-only array copy.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Integral
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -102,6 +104,11 @@ def is_plain_real(value) -> bool:
     and a report must hold the value it was given.
     """
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """True for an integral (``np.int64`` included), non-``bool`` number >= 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
 def readonly(a, dtype=float) -> np.ndarray:

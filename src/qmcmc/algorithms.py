@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import atan2, cos, pi, sqrt
-from numbers import Integral
 
 import numpy as np
 
-from ._apply import check_dense_bytes, evolve, gram_deviation
+from ._apply import check_dense_bytes, evolve, gram_deviation, is_count
 from .circuit import _FIXED, Circuit, controlled, unitary_of
 from .config import UNITARY_TOL
 from .errors import NotUnitary
@@ -60,6 +59,8 @@ class FunctionOracle:
             raise ValueError("function values must lie in [0, 1]")
         if num_state_qubits is None:
             num_state_qubits = max(1, int(np.ceil(np.log2(len(values)))))
+        elif not is_count(num_state_qubits):
+            raise ValueError(f"num_state_qubits must be an int >= 1, not {num_state_qubits!r}")
         if len(values) > 2**num_state_qubits:
             raise ValueError("too many table entries for the state register")
         padded = np.zeros(2**num_state_qubits)
@@ -191,7 +192,7 @@ def phase_estimation(
 
 def check_phase_bits(t) -> None:
     """Raise ``ValueError`` unless ``t`` is an integral, non-``bool`` number of bits >= 1."""
-    if not isinstance(t, Integral) or isinstance(t, bool) or t < 1:
+    if not is_count(t):
         raise ValueError(f"phase register needs an int number of bits >= 1, not {t!r}")
 
 
@@ -224,8 +225,8 @@ def prepare_stationary(
     the input onto the walk's +1 eigenspace (exact when the chosen power maps
     all other input eigenphases to -1).
     """
-    if reflection_power < 1:
-        raise ValueError("reflection power must be >= 1")
+    if not is_count(reflection_power):
+        raise ValueError(f"reflection_power must be an int >= 1, not {reflection_power!r}")
     w_pow = np.linalg.matrix_power(walk.total, reflection_power)
     system = tuple(range(1, initial.num_qubits + 1))
     h = _FIXED["h"]

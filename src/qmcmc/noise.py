@@ -11,8 +11,8 @@ per gate site (with a Pauli choice drawn on demand when a site fires).
 Because the outcome uniform is the first draw, the all-zero model reproduces
 noiseless sampling bit-exactly, and the batched engine reproduces the
 sequential one, ``apply_trajectory``, exactly.  The all-zero model skips the
-draws altogether: it evolves one statevector and inverts the CDF with
-``statevector.sample_from_probabilities``, the noiseless sampler itself.
+draws altogether: it is the noiseless simulator, ``statevector.sample`` on the
+circuit's |0...0> state, which a frozen circuit keeps (``Circuit._kept``).
 
 The batched engine separates the fault draws from state evolution.  It
 walks the shots in the blocks of ``statevector.shot_block_counts``, the
@@ -62,10 +62,11 @@ from .errors import SchemaError
 from .rng import ShotStreams, shot_rng
 from .statevector import (
     StateVector,
+    _evolved,
     check_shots,
     from_amplitudes,
     invert_cdf,
-    sample_from_probabilities,
+    sample,
     shot_block_counts,
     zero_state,
 )
@@ -228,23 +229,22 @@ def sample_with_noise(
     """Histogram over the circuit's measured qubits, in readout order, from
     batched noise trajectories.
 
-    The all-zero model evolves one statevector and samples it with
-    ``sample_from_probabilities``, so it is the noiseless sampler bit for bit.
-    Any other model needs the ``16 * 4**n`` bytes of the input frame to fit
-    in ``DENSE_BYTES``, so it is limited to 11 qubits.
+    The all-zero model samples the simulator's |0...0> state with
+    ``statevector.sample``, so it is the noiseless sampler bit for bit, takes
+    1 to 16 qubits and evolves a frozen circuit once.  Any other model needs
+    the ``16 * 4**n`` bytes of the input frame to fit in ``DENSE_BYTES``, so
+    it is limited to 11 qubits.
     """
     check_shots(shots)
     measured = circuit.measured()
     if not measured:
         raise ValueError("nothing to measure")
+    idx = tuple(circuit.index_of(q) for q in measured)
+    if model.is_zero:
+        return sample(_evolved(circuit), idx, shots, seed)
+
     n = circuit.num_qubits
     m = len(measured)
-    idx = tuple(circuit.index_of(q) for q in measured)
-
-    if model.is_zero:
-        final = evolve(_ground_batch(1, n), circuit.gates())
-        probs = marginal_probabilities(final, idx, n)[0]
-        return sample_from_probabilities(probs, m, shots, seed)
     check_dense_bytes(16 * 4**n, "noisy sampling holds a 2**n x 2**n frame", f"{n} qubits exceed")
 
     gates, arities, rates = _sites(circuit, model)
@@ -337,7 +337,8 @@ def _evolve_patterns(
             faults.setdefault(site, {}).setdefault(pauli, []).append(row)
     dim, shape = 2**num_qubits, (2,) * num_qubits
     frame = np.eye(dim, dtype=complex).reshape((dim,) + shape)
-    rows = _ground_batch(len(patterns), num_qubits).reshape(len(patterns), dim)
+    rows = np.zeros((len(patterns), dim), dtype=complex)
+    rows[:, 0] = 1.0
     done = 0
     for site in sorted(faults):
         frame = evolve(frame, gates[done : site + 1])
@@ -358,9 +359,3 @@ def _evolve_patterns(
         rows[hit] = serial_product(out.reshape(len(hit), dim), prefix.conj().T)
     frame = evolve(frame, gates[done:])
     yield from serial_blocks(rows, frame.reshape(dim, dim))
-
-
-def _ground_batch(size: int, num_qubits: int) -> np.ndarray:
-    batch = np.zeros((size,) + (2,) * num_qubits, dtype=complex)
-    batch.reshape(size, -1)[:, 0] = 1.0
-    return batch

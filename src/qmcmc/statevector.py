@@ -18,12 +18,11 @@ vectorized pass, ``rng.first_uniforms``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
-from ._apply import evolve, marginal_probabilities
+from ._apply import evolve, is_count, marginal_probabilities
 from .circuit import Circuit
 from .config import BRANCH_NORM_CUTOFF, NORM_TOL, POST_SELECT_CUTOFF
 from .errors import PostSelectImpossible
@@ -199,7 +198,7 @@ def shot_block_counts(
 
 def check_shots(shots) -> None:
     """Raise ``ValueError`` unless ``shots`` is an integral, non-``bool`` count in [1, 2**64]."""
-    if not isinstance(shots, Integral) or isinstance(shots, bool) or shots < 1:
+    if not is_count(shots):
         raise ValueError(f"shots must be an int >= 1, not {shots!r}")
     if shots > 2**64:  # ShotStreams seats shot indices below 2**64
         raise ValueError(f"shots must be at most 2**64 (one shot stream each), not {shots}")
@@ -209,9 +208,10 @@ def invert_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Outcome index for each uniform in ``u`` under the law ``probs``.
 
     The inversion rule of both shot samplers, of ``simulate`` and of
-    ``noise.apply_trajectory``: ``searchsorted(side="right")`` on the CDF, whose last entry is raised to at least 1 so that rounding
-    cannot leave a uniform beyond it, clamped to the last outcome.
+    ``noise.apply_trajectory``: ``searchsorted(side="right")`` on the CDF.
+    Every caller's ``u`` lies in [0, 1) and the last CDF entry is raised to
+    at least 1, so no rounding can push an index past the last outcome.
     """
     cum = np.cumsum(probs)
     cum[-1] = max(cum[-1], 1.0)
-    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    return np.searchsorted(cum, u, side="right")

@@ -60,6 +60,11 @@ class TestFunctionOracle:
         with pytest.raises(ValueError, match="non-empty 1-D list of values"):
             FunctionOracle.from_table(table)
 
+    @pytest.mark.parametrize("width", [0, -1, 1.5, True, "2"], ids=repr)
+    def test_rejects_a_register_width_that_is_not_a_count(self, width):
+        with pytest.raises(ValueError, match="num_state_qubits must be an int >= 1"):
+            FunctionOracle.from_table([0.2, 0.9], width)
+
     def test_indicator(self):
         oracle = FunctionOracle.from_table([0.0, 1.0])
         u = oracle.matrix()
@@ -231,6 +236,11 @@ class TestPrepareStationary:
         assert prob == pytest.approx(0.5, abs=1e-12)
         expected = walk.spue.isometry.matrix @ (np.ones(2) / np.sqrt(2))
         assert np.max(np.abs(state.amps - expected)) < 1e-10
+
+    @pytest.mark.parametrize("power", [0, -1, 1.5, True, "2"], ids=repr)
+    def test_rejects_a_power_that_is_not_a_count(self, power):
+        with pytest.raises(ValueError, match="reflection_power must be an int >= 1"):
+            prepare_stationary(lcu_walk(0.25), zero_state(2), power)
 
     def test_eigenstate_input_succeeds_with_certainty(self):
         walk = lcu_walk(0.25)

@@ -247,6 +247,11 @@ class TestCompare:
         with pytest.raises(SchemaError):
             compare(report, "expected")
 
+    def test_spectral_check_runs_without_comparison(self):
+        report = run_with_comparison(ExperimentSpec("spectral-check"))
+        assert report.derived["spectral"]["ok"]
+        assert report.comparison is None
+
     @pytest.mark.parametrize("seed", [4, 5, 7])
     def test_lcu_qae_without_prep_success_has_null_tvd(self, seed):
         # One shot that fails the prep filter leaves no mean estimate to compare.

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from itertools import product
 from math import pi
 
@@ -112,6 +113,16 @@ class TestNoiseModel:
         spec = ExperimentSpec("cswap-state-prep", shots=10, noise=model)
         assert json.loads(run(spec).to_json())["spec"]["noise"]["p2"] == 5e-3
 
+    @pytest.mark.parametrize("field", ["p1", "p2", "p_meas"])
+    def test_rate_of_one_rejected(self, field):
+        with pytest.raises(ValueError, match=rf"{field} must be a float or int in \[0, 1\)"):
+            NoiseModel(**{field: 1.0})
+
+    def test_equal_rates_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            NoiseModel(p1=1e-3, p2=1e-3)
+
     def test_warns_when_p2_below_p1(self):
         with pytest.warns(UserWarning) as record:
             NoiseModel(p1=1e-3, p2=1e-5)
@@ -153,6 +164,21 @@ class TestZeroNoiseEquivalence:
             direct = sample(state, [0, 1], 1500, seed)
             noisy_path = sample_with_noise(circ, ZERO_NOISE, 1500, seed)
             assert direct == noisy_path
+
+    def test_frozen_circuit_evolved_once(self, monkeypatch):
+        calls = []
+        gates = Circuit.gates
+        monkeypatch.setattr(Circuit, "gates", lambda self: calls.append(self) or gates(self))
+        circ = _bell_circuit()
+        first = sample_with_noise(circ, ZERO_NOISE, 100, seed=3)
+        assert sample_with_noise(circ, ZERO_NOISE, 100, seed=3) == first
+        assert len(calls) == 1
+
+    def test_simulator_width_limit(self):
+        names = [f"q{i}" for i in range(17)]
+        circ = Circuit(names).h("q0").measure("q0")
+        with pytest.raises(ValueError, match="supported qubit counts are 1..16"):
+            sample_with_noise(circ, ZERO_NOISE, 10, seed=0)
 
 
 class TestShotCount:

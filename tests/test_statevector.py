@@ -14,6 +14,7 @@ from qmcmc.statevector import (
     StateVector,
     basis_state,
     from_amplitudes,
+    invert_cdf,
     post_select,
     sample,
     sample_from_probabilities,
@@ -159,6 +160,14 @@ class TestSampling:
     def test_marginal_order(self):
         state = basis_state(2, 0b01)  # q0=0, q1=1
         assert sample(state, [1, 0], 10, seed=0) == {"10": 10}
+
+    def test_cdf_short_of_one_keeps_the_last_outcome(self):
+        # The cumsum of ten 0.1s ends at 1 - 2**-53, the largest uniform a
+        # stream draws; the raised last CDF entry keeps it on outcome 9.
+        probs = np.full(10, 0.1)
+        u = 1 - 2.0**-53
+        assert np.cumsum(probs)[-1] == u
+        assert invert_cdf(probs, u) == 9
 
 
 class TestShotBlocks:

@@ -44,9 +44,13 @@ class TestSingleGates:
         lambda c: c.cz("a", "b"),
         lambda c: c.swap("a", "b"),
         lambda c: c.zzphase(1.1, "a", "b"),
+        lambda c: c.cx("a", "b", controls=("c",)),
+        lambda c: c.cx("a", "b", controls=("c", "d")),
+        lambda c: c.cz("a", "b", controls=("c",)),
+        lambda c: c.cz("a", "b", controls=("c", "d")),
     ])
     def test_gate_template(self, build):
-        circ = Circuit(["a", "b"])
+        circ = Circuit(["a", "b", "c", "d"])
         build(circ)
         _assert_native_equivalent(circ)
 
