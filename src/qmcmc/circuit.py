@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 from math import cos, sin
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -33,7 +34,8 @@ from .errors import AddressingError, NotUnitary, QmcmcError, SchemaError
 _SQ2 = 1.0 / np.sqrt(2.0)
 _T = TypeVar("_T")
 
-# Shared by every op of their kind and read by noise and algorithms, so read-only.
+# Shared by every op of their kind and read by noise and algorithms, so read-only,
+# like the parametrized matrices that ``_parametric_matrix`` keeps.
 _FIXED = {
     "h": readonly([[_SQ2, _SQ2], [_SQ2, -_SQ2]], complex),
     "x": readonly([[0, 1], [1, 0]], complex),
@@ -86,6 +88,13 @@ def _zzphase(gamma: float) -> np.ndarray:
 _PARAMETRIC = {
     "rx": _rx, "ry": _ry, "rz": _rz, "phase": _phase, "phasedx": _phasedx, "zzphase": _zzphase,
 }
+
+
+@lru_cache(maxsize=1024)
+def _parametric_matrix(kind: str, params: tuple[float, ...], zeros) -> np.ndarray:
+    """The read-only target matrix of a parametrized ``kind``, built once per
+    ``(kind, params, zeros)``; ``zeros`` tells the signs of zero parameters apart."""
+    return readonly(_PARAMETRIC[kind](*params), complex)
 
 
 def _finite_real(value) -> bool:
@@ -146,7 +155,9 @@ class GateApplication:
         if self.kind in _FIXED:
             return _FIXED[self.kind]
         if self.kind in _PARAMETRIC:
-            return _PARAMETRIC[self.kind](*self.params)
+            # 0.0 == -0.0 as a key, but their matrices differ in signed zeros.
+            zeros = None if all(self.params) else tuple(map(str, self.params))
+            return _parametric_matrix(self.kind, self.params, zeros)
         if self.matrix is None:
             raise NotUnitary(f"{self.kind} has no unitary matrix")
         return self.matrix

@@ -22,22 +22,27 @@ pattern once; most shots share the fault-free pattern.  Shots are drawn in
 groups of ``_DRAW_BLOCK``: every shot of a group fills one row of a reused
 buffer with its ``1 + m + sites`` uniforms, and all the fault sites of the
 group are screened against the rates at once, so a fault-free shot costs no
-Python work past its draw.  A shot that faults is re-seated just past its
-uniforms (``ShotStreams.shot(s, drawn=...)``) and draws its Pauli choices as
-the sequential engine does.
+Python work past its draw.  The Pauli choices of the shots that fault come
+from vectorized Philox passes, ``_FAULT_BLOCK`` shots each, over the words
+that follow their uniforms (``rng.uint32_draws``) and NumPy's bounded-integer
+step (``rng.lemire_integers``), so each shot is seated once and its choices
+equal the sequential engine's ``Generator.integers`` draws; the rare draw
+that NumPy would reject sends its shot back to the sequential draw.
 
 Patterns are evolved in the input frame: the gates act only on the ``2**n``
 basis columns of the prefix unitary, and a pattern's amplitudes change only
 at its own fault sites, so gate work does not grow with the pattern count.
-The frame products run in small row blocks that OpenBLAS keeps on the calling
-thread (``_apply.serial_blocks``), so the engine uses one core.  The frame
-takes ``16 * 4**n`` bytes, which bounds noisy sampling to 11 qubits.  Patterns
-are handled in chunks whose amplitudes stay within a fixed byte budget, and a
-chunk's final states are never held whole: each row block of pattern rows is
-taken to the output frame, reduced to its outcome law, and every shot of its
-patterns inverts that law's CDF with its own outcome uniform.  So memory grows
-with the budgets (the shot block, the chunk and the frame) and not with the
-shot count.
+At a faulted site each hit row takes its Pauli as a signed permutation of its
+amplitudes, so no Pauli matrix is built.  The frame products run in small row
+blocks that OpenBLAS keeps on the calling thread (``_apply.serial_blocks``),
+so the engine uses one core.  The frame takes ``16 * 4**n`` bytes, which
+bounds noisy sampling to 11 qubits.  Patterns are handled in chunks whose
+amplitudes stay within a fixed byte budget, and a chunk's final states are
+never held whole: each row block of pattern rows is taken to the output
+frame, reduced to its outcome laws, and every shot of its patterns inverts
+its law's CDF with its own outcome uniform, in one row-stacked ``invert_cdf``
+call per row block.  So memory grows with the budgets (the shot block, the
+chunk and the frame) and not with the shot count.
 
 Default rates are an order-of-magnitude stand-in for trapped-ion hardware,
 not calibrated device numbers.
@@ -54,12 +59,12 @@ from typing import Iterator
 import numpy as np
 
 from ._apply import (
-    Gate, apply_matrix, apply_matrix_nd, check_dense_bytes, evolve, is_plain_real,
-    marginal_probabilities, serial_blocks, serial_product,
+    Gate, apply_matrix, check_dense_bytes, evolve, is_plain_real, marginal_probabilities,
+    serial_blocks, serial_product,
 )
 from .circuit import _FIXED, Circuit
 from .errors import SchemaError
-from .rng import ShotStreams, shot_rng
+from .rng import ShotStreams, lemire_integers, shot_rng, uint32_draws
 from .statevector import (
     StateVector,
     _evolved,
@@ -72,9 +77,14 @@ from .statevector import (
 )
 
 _PAULI_1Q = [_FIXED["x"], _FIXED["y"], _FIXED["z"]]
+# (-i)**k for k = 0..3: the phase of a Pauli string with k Y factors.
+_Y_PHASES = (1, -1j, -1, 1j)
 
 # Shots drawn into one buffer and screened for faults together.
 _DRAW_BLOCK = 64
+# Faulted shots whose Pauli draws are computed together; it bounds the
+# Philox work arrays and the Python objects that one pass holds.
+_FAULT_BLOCK = 512
 # Amplitude bytes of one batch of fault patterns evolved together.
 _BATCH_BYTES = 64 << 20
 
@@ -255,13 +265,18 @@ def sample_with_noise(
         u_out, flips, pattern_of_shot, patterns = _draw_patterns(
             seed, first, last, m, model.p_meas, rates, arities
         )
+        # The shots of pattern row j are by_row[edges[j] : edges[j + 1]].
         by_row = np.argsort(pattern_of_shot, kind="stable")
-        shots_of_row = np.split(by_row, np.cumsum(np.bincount(pattern_of_shot))[:-1])
+        edges = np.zeros(len(patterns) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(pattern_of_shot), out=edges[1:])
         outcomes = np.empty(last - first, dtype=np.intp)
         for start in range(0, len(patterns), chunk):
             for row, final in _evolve_patterns(patterns[start : start + chunk], gates, n):
-                for j, probs in enumerate(marginal_probabilities(final, idx, n), start + row):
-                    outcomes[shots_of_row[j]] = invert_cdf(probs, u_out[shots_of_row[j]])
+                # One CDF inversion for every shot of the block's patterns.
+                bounds = edges[start + row : start + row + len(final) + 1]
+                hit = by_row[bounds[0] : bounds[-1]]
+                probs = marginal_probabilities(final, idx, n)
+                outcomes[hit] = invert_cdf(probs, u_out[hit], np.diff(bounds))
         if model.p_meas > 0:
             outcomes ^= flips @ weights
         return outcomes
@@ -278,38 +293,99 @@ def _draw_patterns(
     Shots are drawn in groups of ``_DRAW_BLOCK``: each shot's ``1 + m + sites``
     uniforms fill one row of a reused buffer, and the whole group is compared
     with the rates at once.  A fault-free shot takes the ``()`` pattern with
-    no further work.  A shot that faults is re-seated just past its uniforms
-    and draws its Pauli indices with ``_shot_events``, so every shot reads its
-    stream as ``apply_trajectory`` does.
+    no further work.  The Pauli indices of the shots that fault come from
+    one vectorized pass over the rest of their streams per ``_FAULT_BLOCK``
+    of them (``_fault_patterns``), in the order ``_shot_events`` draws them,
+    so no shot is seated twice.  A shot with a draw that NumPy would reject
+    (about one in 2**32 draws) is re-seated and drawn by ``_shot_events``
+    itself, so every shot reads its stream as ``apply_trajectory`` does.
     """
     shots = last - first
     width = 1 + m + len(rates)
     u_out = np.empty(shots)
     flips = np.empty((shots, m), dtype=bool)
-    pattern_of_shot = np.empty(shots, dtype=np.intp)
-    rows: dict[tuple[tuple[int, int], ...], int] = {}
+    fired_shots, fired_sites = [], []
     streams = ShotStreams(seed)
+    seat, draw = streams.shot, streams.generator.random
     buffer = np.empty((min(shots, _DRAW_BLOCK), width))
     for lo in range(0, shots, _DRAW_BLOCK):
         block = buffer[: shots - lo]
         for s, row in enumerate(block, first + lo):
-            streams.shot(s).random(out=row)
+            seat(s)
+            draw(out=row)
         hi = lo + len(block)
         u_out[lo:hi] = block[:, 0]
         np.less(block[:, 1 : 1 + m], p_meas, out=flips[lo:hi])
-        faulted = (block[:, 1 + m :] < rates).any(axis=1)
-        visit = faulted.copy()
-        if () not in rows:
-            visit[np.argmin(faulted)] = True  # the group's first fault-free shot, if any
-        for j in np.flatnonzero(visit):
-            pattern = ()
-            if faulted[j]:
-                rng = streams.shot(first + lo + j, drawn=width)
-                pattern = _shot_events(rng, block[j, 1 + m :], rates, arities)
-            pattern_of_shot[lo + j] = rows.setdefault(pattern, len(rows))
-        if not faulted.all():
-            pattern_of_shot[lo:hi][~faulted] = rows[()]
+        fired = np.flatnonzero(block[:, 1 + m :] < rates)
+        if len(fired):
+            shot_in, site = np.divmod(fired, len(rates))
+            fired_shots.append(shot_in + lo)
+            fired_sites.append(site)
+    rows: dict[tuple[tuple[int, int], ...], int] = {}
+    pattern_of_shot = np.empty(shots, dtype=np.intp)
+    faulted = np.zeros(shots, dtype=bool)
+    free = 0  # the first fault-free shot
+    if fired_shots:
+        shot_of, site_of = np.concatenate(fired_shots), np.concatenate(fired_sites)
+        faulted[shot_of] = True
+        # The () pattern is numbered after the faulted shots before shot
+        # ``free``, which are all the shots before it.
+        free = shots if faulted.all() else int(np.argmin(faulted))
+        faulted_shots = np.flatnonzero(faulted)
+        # Faulted shot k fired the sites site_of[bounds[k] : bounds[k + 1]].
+        bounds = np.flatnonzero(np.diff(shot_of, prepend=-1, append=shots))
+        for lo in range(0, len(faulted_shots), _FAULT_BLOCK):
+            part = faulted_shots[lo : lo + _FAULT_BLOCK]
+            patterns = _fault_patterns(
+                streams, seed, part.astype(np.uint64) + np.uint64(first),
+                site_of, bounds[lo : lo + len(part) + 1], m, rates, arities,
+            )
+            ids = []
+            for k, pattern in enumerate(patterns, lo):
+                if k == free:
+                    rows[()] = len(rows)
+                ids.append(rows.setdefault(pattern, len(rows)))
+            pattern_of_shot[part] = ids
+    if free < shots:
+        pattern_of_shot[~faulted] = rows.setdefault((), len(rows))
     return u_out, flips, pattern_of_shot, list(rows)
+
+
+def _fault_patterns(
+    streams: ShotStreams,
+    seed: int,
+    shots: np.ndarray,
+    site_of: np.ndarray,
+    bounds: np.ndarray,
+    m: int,
+    rates: np.ndarray,
+    arities: np.ndarray,
+) -> list[tuple[tuple[int, int], ...]]:
+    """Fault patterns of the faulted ``shots`` (absolute ``uint64`` indices),
+    shot ``k`` having fired the sites ``site_of[bounds[k] : bounds[k + 1]]``.
+
+    Each shot's Pauli indices are its next 32-bit words after its
+    ``1 + m + sites`` uniforms through NumPy's bounded-integer step, one per
+    fired site in site order, just as ``_shot_events`` draws them.  A shot
+    with a draw that NumPy would reject is seated again and drawn by
+    ``_shot_events`` itself.
+    """
+    width = 1 + m + len(rates)
+    span = slice(bounds[0], bounds[-1])
+    counts = np.diff(bounds)
+    nth = np.repeat(np.arange(len(shots)), counts)  # the shot of each fired site
+    draws = uint32_draws(seed, shots, width, int(counts.max()))
+    paulis, rejected = lemire_integers(
+        draws[nth, np.arange(span.start, span.stop) - bounds[nth]],
+        4 ** arities[site_of[span]] - 1,
+    )
+    pairs = list(zip(site_of[span].tolist(), (paulis + 1).tolist()))
+    edges = (bounds - span.start).tolist()
+    patterns = [tuple(pairs[a:b]) for a, b in zip(edges, edges[1:])]
+    for k in dict.fromkeys(nth[rejected].tolist()):
+        rng = streams.shot(int(shots[k]))
+        patterns[k] = _shot_events(rng, rng.random(width)[1 + m :], rates, arities)
+    return patterns
 
 
 def _evolve_patterns(
@@ -324,17 +400,19 @@ def _evolve_patterns(
     |0...0>.  A fault ``P`` after gate ``s`` maps the row to
     ``W_s^dag P W_s x``, because ``G_S ... G_{s+1} P W_s = W W_s^dag P W_s``;
     the final state is ``W x``.  At each faulted site the rows that fire are
-    gathered once and taken to the output frame, each distinct Pauli acts in
-    one kernel call on its slice, and the rows are taken back.  Gate work
-    thus grows with ``2**n`` columns rather than with the pattern count.  The
-    last step, ``x -> W x``, runs block by block, so the caller can reduce
-    each block before the next one exists.  The amplitudes agree with
-    gate-by-gate evolution up to rounding.
+    gathered once, taken to the output frame, hit by their Paulis in one
+    signed permutation (``_apply_paulis``), and taken back.  Gate work thus
+    grows with ``2**n`` columns rather than with the pattern count.  The last
+    step, ``x -> W x``, runs block by block, so the caller can reduce each
+    block before the next one exists.  The amplitudes agree with gate-by-gate
+    evolution up to rounding.
     """
-    faults: dict[int, dict[int, list[int]]] = {}
+    faults: dict[int, tuple[list[int], list[int]]] = {}
     for row, pattern in enumerate(patterns):
         for site, pauli in pattern:
-            faults.setdefault(site, {}).setdefault(pauli, []).append(row)
+            hit, paulis = faults.setdefault(site, ([], []))
+            hit.append(row)
+            paulis.append(pauli)
     dim, shape = 2**num_qubits, (2,) * num_qubits
     frame = np.eye(dim, dtype=complex).reshape((dim,) + shape)
     rows = np.zeros((len(patterns), dim), dtype=complex)
@@ -345,17 +423,46 @@ def _evolve_patterns(
         done = site + 1
         prefix = frame.reshape(dim, dim)
         _, targets, controls = gates[site]
-        qubits = controls + targets
-        groups = faults[site]
-        hit = np.concatenate(list(groups.values()))
-        out = serial_product(rows[hit], prefix).reshape((len(hit),) + shape)
-        first = 0
-        for pauli, group in groups.items():
-            last = first + len(group)
-            out[first:last] = apply_matrix_nd(
-                out[first:last], _pauli_matrix(len(qubits), pauli), qubits, ()
-            )
-            first = last
-        rows[hit] = serial_product(out.reshape(len(hit), dim), prefix.conj().T)
+        hit, paulis = faults[site]
+        out = _apply_paulis(
+            serial_product(rows[hit], prefix), np.array(paulis), controls + targets, num_qubits
+        )
+        rows[hit] = serial_product(out, prefix.conj().T)
     frame = evolve(frame, gates[done:])
     yield from serial_blocks(rows, frame.reshape(dim, dim))
+
+
+def _apply_paulis(
+    amps: np.ndarray, paulis: np.ndarray, qubits: tuple[int, ...], num_qubits: int
+) -> np.ndarray:
+    """Row r of ``amps`` (flat states) hit by the Pauli string ``paulis[r]`` on ``qubits``.
+
+    A Pauli index's base-4 digit ``i`` (0 = I, 1 = X, 2 = Y, 3 = Z) acts on
+    ``qubits[i]``, as in ``_pauli_matrix``.  A Pauli string is a signed
+    permutation: with ``xy`` the index bits its X and Y flip and ``zy`` those
+    its Z and Y sign, ``(P psi)[i] = (-i)**#Y (-1)**parity(i & zy) psi[i ^ xy]``.
+    So every row takes one gather, one multiply by its phase in {1, -1, i, -i}
+    and a sign flip where the parity is odd, which moves each amplitude
+    exactly, as the matrix product does.
+    """
+    # digits[r, i] is the Pauli of row r on qubits[i]; bits[i] is that qubit's index bit.
+    digits = (paulis[:, None] >> 2 * np.arange(len(qubits))) & 3
+    bits = 1 << (num_qubits - 1 - np.array(qubits))
+    flip = ((digits ^ (digits >> 1)) & 1) @ bits  # X or Y
+    sign = (digits >> 1) @ bits  # Y or Z
+    phase = np.array(_Y_PHASES)[np.count_nonzero(digits == 2, axis=1) & 3]
+    index = np.arange(amps.shape[1])
+    out = amps[np.arange(len(amps))[:, None], index ^ flip[:, None]]
+    out *= phase[:, None]
+    np.negative(out, out=out, where=_odd_parity(len(index))[index & sign[:, None]])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _odd_parity(dim: int) -> np.ndarray:
+    """Whether each index below ``dim`` (a power of 2) has an odd number of set bits."""
+    odd = np.zeros(1, dtype=bool)
+    while len(odd) < dim:
+        odd = np.concatenate((odd, ~odd))
+    odd.setflags(write=False)
+    return odd

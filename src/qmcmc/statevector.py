@@ -32,6 +32,8 @@ MAX_QUBITS = 16
 # Shots a sampler evaluates together: it holds the draws and outcomes of one
 # block at a time.
 _SHOT_BLOCK = 1 << 16
+# CDF entries compared at once by the row-stacked ``invert_cdf``.
+_CDF_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,14 +206,29 @@ def check_shots(shots) -> None:
         raise ValueError(f"shots must be at most 2**64 (one shot stream each), not {shots}")
 
 
-def invert_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+def invert_cdf(probs: np.ndarray, u: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     """Outcome index for each uniform in ``u`` under the law ``probs``.
 
     The inversion rule of both shot samplers, of ``simulate`` and of
     ``noise.apply_trajectory``: ``searchsorted(side="right")`` on the CDF.
     Every caller's ``u`` lies in [0, 1) and the last CDF entry is raised to
     at least 1, so no rounding can push an index past the last outcome.
+
+    Row-stacked form: ``probs`` holds one law per row, and the law of row
+    ``i`` inverts the next ``counts[i]`` uniforms of ``u``.  Each row's CDF
+    is built as above, and the outcome is the count of its entries ``<= u``,
+    which is what ``searchsorted(side="right")`` returns on a CDF that never
+    decreases.  The comparisons run in chunks of about ``_CDF_ENTRIES``.
     """
-    cum = np.cumsum(probs)
-    cum[-1] = max(cum[-1], 1.0)
-    return np.searchsorted(cum, u, side="right")
+    cum = np.cumsum(probs, axis=-1)
+    cum[..., -1] = np.maximum(cum[..., -1], 1.0)
+    if counts is None:
+        return np.searchsorted(cum, u, side="right")
+    ends = np.cumsum(counts)
+    out = np.empty(len(u), dtype=np.intp)
+    step = max(1, _CDF_ENTRIES // cum.shape[1])
+    for first in range(0, len(u), step):
+        part = np.arange(first, min(first + step, len(u)))
+        rows = np.searchsorted(ends, part, side="right")
+        out[part] = np.count_nonzero(cum[rows] <= u[part, None], axis=1)
+    return out

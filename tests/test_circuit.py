@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcmc.circuit import Circuit, GateApplication, controlled, unitary_of
+from qmcmc.circuit import _PARAMETRIC, Circuit, GateApplication, controlled, unitary_of
 from qmcmc.errors import AddressingError, NotUnitary, SchemaError
 
 from conftest import phases_equal_up_to_global, random_circuit
@@ -89,6 +89,24 @@ class TestFrozenStore:
         v = unitary_of(derived)
         assert v is not u and unitary_of(derived) is v
         assert np.max(np.abs(v - expected(u))) < 1e-12
+
+
+class TestGateMatrices:
+    def test_each_distinct_matrix_is_built_once_and_read_only(self):
+        circ = Circuit(["a", "b"]).rz(0.3, "a").rz(0.3, "b").zzphase(0.3, "a", "b").rz(0.4, "a")
+        mats = [mat for mat, _, _ in circ.gates()]
+        assert mats[0] is mats[1] and mats[0] is not mats[3]
+        assert not any(mat.flags.writeable for mat in mats)
+        for op, mat in zip(circ.ops, mats):
+            assert mat.tobytes() == _PARAMETRIC[op.kind](*op.params).astype(complex).tobytes()
+
+    def test_signed_zero_parameters_keep_their_own_matrices(self):
+        # 0.0 == -0.0, but rz(-0.0) has zeros of the other sign; inverse() makes it.
+        plus = GateApplication("rz", ("a",), params=(0.0,))
+        minus = GateApplication("rz", ("a",), params=(-0.0,))
+        for op in (plus, minus, plus.inverse(), minus):
+            assert op.base_matrix().tobytes() == _PARAMETRIC["rz"](*op.params).tobytes()
+        assert plus.base_matrix().tobytes() != minus.base_matrix().tobytes()
 
 
 class TestControlled:

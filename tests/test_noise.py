@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from qmcmc import noise, statevector
+from qmcmc import _apply, noise, statevector
 from qmcmc._apply import apply_matrix, serial_blocks, serial_product
 from qmcmc.circuit import Circuit
 from qmcmc.errors import SchemaError
@@ -25,7 +25,7 @@ from qmcmc.experiments import (
     szegedy_state_prep_circuit,
 )
 from qmcmc.noise import NoiseModel, ZERO_NOISE, apply_trajectory, sample_with_noise
-from qmcmc.rng import shot_rng
+from qmcmc.rng import ShotStreams, shot_rng
 from qmcmc.statevector import sample, statevector_of, zero_state
 from qmcmc.transpile import transpile_native
 
@@ -141,11 +141,15 @@ class TestNoiseModel:
     @settings(max_examples=300, deadline=None)
     @given(value=_JSON_VALUES)
     def test_from_json_accepts_or_raises_schema_error(self, value):
-        # Any JSON value either parses into a model or raises SchemaError.
-        try:
-            NoiseModel.from_json(json.dumps(value))
-        except SchemaError:
-            pass
+        # Any JSON value either parses into a model or raises SchemaError.  A
+        # model with p2 below p1 (a lone "p1" among them) parses and warns, as
+        # test_warns_when_p2_below_p1 pins; that warning is not a parse error.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "two-qubit rate p2 below", UserWarning)
+            try:
+                NoiseModel.from_json(json.dumps(value))
+            except SchemaError:
+                pass
 
     def test_missing_keys_take_documented_defaults(self):
         assert NoiseModel.from_json('{"p2": 1e-3}') == NoiseModel(0.0, 1e-3, 0.0, "native")
@@ -269,6 +273,11 @@ class TestTrajectoryMechanics:
         hist = sample_with_noise(circ, model, 8000, seed=21)
         assert abs(hist.get("1", 0) - 2000) < 3 * np.sqrt(8000 * 0.25 * 0.75)
 
+    def test_trajectory_shot_index_below_2_64(self):
+        # No engine draws shot 2**64 (check_shots), so the oracle refuses it too.
+        with pytest.raises(ValueError, match=r"shot_index must be in \[0, 2\*\*64\)"):
+            apply_trajectory(_bell_circuit(), NoiseModel(), 1, 2**64)
+
     def test_determinism(self):
         circ = _bell_circuit()
         model = NoiseModel(p1=0.01, p2=0.03, p_meas=0.01)
@@ -350,6 +359,146 @@ class TestDrawBlocks:
         assert handed == want
 
 
+def _wide_sites_circuit(measured: int):
+    """Logical sites on 1 to 4 qubits, the first ``measured`` qubits read out."""
+    qubits = ["a", "b", "c", "d"]
+    circ = Circuit(qubits)
+    for q in qubits:
+        circ.h(q)
+    circ.cx("a", "b").ry(0.4, "c")
+    circ.x("d", controls=("a", "b"))  # 3 qubits: 63 Paulis
+    circ.swap("c", "d", controls=("a", "b"))  # 4 qubits: 255 Paulis
+    circ.ry(0.3, "b", controls=("c",))
+    circ.measure(*qubits[:measured])
+    return circ.freeze()
+
+
+def _native_sites_circuit(measured: int):
+    """Native 1- and 2-qubit sites, the first ``measured`` qubits read out."""
+    qubits = ["a", "b", "c", "d"]
+    circ = Circuit(qubits).h("a").cx("a", "b").ry(0.7, "c").cx("b", "c").cz("c", "d").h("d")
+    circ.measure(*qubits[:measured])
+    return transpile_native(circ).circuit.freeze()
+
+
+def _handed_patterns(monkeypatch, circ, model, shots, seed):
+    """The histogram and the patterns that the engine hands to ``_evolve_patterns``."""
+    handed = []
+    evolve_patterns = noise._evolve_patterns
+
+    def recording(patterns, gates, num_qubits):
+        handed.extend(patterns)
+        return evolve_patterns(patterns, gates, num_qubits)
+
+    monkeypatch.setattr(noise, "_evolve_patterns", recording)
+    return sample_with_noise(circ, model, shots, seed), handed
+
+
+class TestVectorizedPauliDraws:
+    """Pauli draws read from each shot's stream in one vectorized pass, without a re-seat."""
+
+    # High rates, so a faulted shot draws several Paulis, across Philox blocks.
+    LOGICAL = NoiseModel(p1=0.2, p2=0.5, p_meas=0.05, attach="logical")
+    NATIVE = NoiseModel(p1=0.1, p2=0.4, p_meas=0.05)
+
+    @pytest.mark.parametrize("measured", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["logical", "native"])
+    def test_patterns_equal_shot_by_shot_draws(self, monkeypatch, kind, measured):
+        # The four readout widths put the Pauli draws at every offset in a block.
+        if kind == "logical":
+            circ, model = _wide_sites_circuit(measured), self.LOGICAL
+        else:
+            circ, model = _native_sites_circuit(measured), self.NATIVE
+        _, arities, _ = noise._sites(circ, model)
+        assert set(arities.tolist()) == ({1, 2, 3, 4} if kind == "logical" else {1, 2})
+        _, handed = _handed_patterns(monkeypatch, circ, model, 120, seed=9)
+        assert handed == _shot_by_shot_patterns(circ, model, 120, 9)
+        assert max(len(p) for p in handed) >= 5
+
+    def test_fault_blocks_change_no_pattern(self, monkeypatch):
+        # Faulted shots split into blocks of 5; the first fault-free shot
+        # (about shot 12) falls inside the third block.
+        circ, model = _wide_sites_circuit(2), self.LOGICAL
+        want = _shot_by_shot_patterns(circ, model, 60, 7)
+        assert want.index(()) > 10
+        monkeypatch.setattr(noise, "_FAULT_BLOCK", 5)
+        _, handed = _handed_patterns(monkeypatch, circ, model, 60, seed=7)
+        assert handed == want
+
+    def test_forced_rejections_take_the_sequential_draw(self, monkeypatch):
+        # Marking every odd draw rejected sends most faulted shots down the
+        # fallback, which re-seats them and draws with Generator.integers.
+        circ, model, shots, seed = _wide_sites_circuit(4), self.LOGICAL, 150, 4
+        want_patterns = _shot_by_shot_patterns(circ, model, shots, seed)
+        want = _sequential_histogram(circ, model, shots, seed)
+        lemire = noise.lemire_integers
+        forced = []
+
+        def rejecting(draws, bound):
+            values, rejected = lemire(draws, bound)
+            forced.append(int(((draws & 1) == 1).sum()))
+            return values, rejected | ((draws & 1) == 1)
+
+        monkeypatch.setattr(noise, "lemire_integers", rejecting)
+        seats = _count_seats(monkeypatch)
+        hist, handed = _handed_patterns(monkeypatch, circ, model, shots, seed)
+        assert sum(forced) > 0 and len(seats) > shots
+        assert hist == want
+        assert handed == want_patterns
+
+    def test_one_seat_per_shot(self, monkeypatch):
+        circ, model, shots = _wide_sites_circuit(4), self.LOGICAL, 200
+        seats = _count_seats(monkeypatch)
+        hist, handed = _handed_patterns(monkeypatch, circ, model, shots, seed=2)
+        assert sum(hist.values()) == shots and len(handed) > 100
+        assert seats == list(range(shots))
+
+    def test_no_matrix_or_integer_draw_per_fault(self, monkeypatch):
+        # Outside the rejection fallback: no Generator.integers (``_shot_events``),
+        # no dense Pauli matrix, and one kernel call per gate of the frame.
+        circ, model = _wide_sites_circuit(4), self.LOGICAL
+        want = sample_with_noise(circ, model, 200, seed=6)
+
+        def forbidden(*args):
+            raise AssertionError("called outside the rejection fallback")
+
+        monkeypatch.setattr(noise, "_pauli_matrix", forbidden)
+        monkeypatch.setattr(noise, "_shot_events", forbidden)
+        kernel_calls = []
+        apply_matrix_nd = _apply.apply_matrix_nd
+        monkeypatch.setattr(
+            _apply, "apply_matrix_nd", lambda *a: kernel_calls.append(1) or apply_matrix_nd(*a)
+        )
+        assert sample_with_noise(circ, model, 200, seed=6) == want
+        assert len(kernel_calls) == len(list(circ.gates()))
+
+
+def _count_seats(monkeypatch):
+    """Shot indices of every ``ShotStreams.shot`` call, in call order."""
+    seats = []
+    shot = ShotStreams.shot
+    monkeypatch.setattr(
+        ShotStreams, "shot", lambda self, s: seats.append(s) or shot(self, s)
+    )
+    return seats
+
+
+@pytest.mark.parametrize("num_qubits", [3, 4, 6])
+def test_paulis_as_signed_permutations_equal_the_matrices(num_qubits):
+    # Bit for bit against the dense Pauli matrix through the kernel, for
+    # random 1- to 3-qubit Pauli strings on random states.
+    gen = np.random.default_rng(num_qubits)
+    dim = 2**num_qubits
+    for k in (1, 2, 3):
+        qubits = tuple(int(q) for q in gen.permutation(num_qubits)[:k])
+        paulis = gen.integers(1, 4**k, size=20)
+        amps = gen.normal(size=(20, dim)) + 1j * gen.normal(size=(20, dim))
+        got = noise._apply_paulis(amps, paulis, qubits, num_qubits)
+        for row, pauli, want_of in zip(got, paulis, amps):
+            want = apply_matrix(want_of, noise._pauli_matrix(k, int(pauli)), qubits, (), num_qubits)
+            assert row.tobytes() == want.tobytes(), (qubits, pauli)
+
+
 class TestShotBlocks:
     """Shot blocks of a small, ragged size change no histogram and bound memory."""
 
@@ -420,6 +569,28 @@ class TestShotBlocks:
             sample_with_noise(circ, model, 256, seed=0)  # fills the kernel's plan and Pauli caches
             small = traced_peak(lambda: sample_with_noise(circ, model, 256, seed=0))
             large = traced_peak(lambda: sample_with_noise(circ, model, 8 * 256, seed=0))
+        finally:
+            tracemalloc.stop()
+        assert large <= 1.2 * small, (small, large)
+
+    def test_wide_site_memory_does_not_grow_with_shots(self, monkeypatch):
+        # A 6-qubit logical site fires one of 4,095 Paulis in about half the
+        # shots.  The engine applies each as a signed permutation and keeps no
+        # dense 64 x 64 matrix per Pauli, so 1,600 shots peak like 200.
+        qubits = [f"q{i}" for i in range(6)]
+        circ = Circuit(qubits)
+        for q in qubits:
+            circ.h(q)
+        circ.x("q5", controls=tuple(qubits[:5]))
+        circ.measure(*qubits)
+        circ.freeze()
+        model = NoiseModel(p1=0.0, p2=0.5, p_meas=0.0, attach="logical")
+        monkeypatch.setattr(statevector, "_SHOT_BLOCK", 200)
+        tracemalloc.start()
+        try:
+            sample_with_noise(circ, model, 200, seed=0)  # fills the kernel's plan caches
+            small = traced_peak(lambda: sample_with_noise(circ, model, 200, seed=0))
+            large = traced_peak(lambda: sample_with_noise(circ, model, 1600, seed=0))
         finally:
             tracemalloc.stop()
         assert large <= 1.2 * small, (small, large)

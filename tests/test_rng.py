@@ -3,7 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmcmc.rng import ShotStreams, first_uniforms, philox_key, shot_rng
+from qmcmc import rng
+from qmcmc.rng import (
+    ShotStreams, first_uniforms, lemire_integers, philox_key, shot_rng, uint32_draws,
+)
 from qmcmc.statevector import invert_cdf, sample_from_probabilities
 
 _SEEDS = st.one_of(
@@ -78,20 +81,17 @@ def test_first_uniforms_equal_each_shot_stream(seed, shots):
     integers_first=st.booleans(),
 )
 @example(seed=0, shot=0, drawn=5, arities=[1], integers_first=True)
-def test_resumed_seat_equals_stream_after_drawn_uniforms(
-    seed, shot, drawn, arities, integers_first
-):
-    # A seat that resumes past ``drawn`` uniforms continues the stream exactly,
-    # for uniforms and for the 32-bit bounded integers of the Pauli draws.
+def test_seat_equals_shot_stream(seed, shot, drawn, arities, integers_first):
+    # A seat reads the stream exactly, for uniforms and for the 32-bit bounded
+    # integers of the Pauli draws, and keeps no 32-bit half from the last shot.
     def tail(rng):
         paulis = [int(rng.integers(4**a - 1)) for a in arities] if integers_first else []
+        rng.random(drawn)
         return paulis, rng.random(3).tolist(), [int(rng.integers(4**a - 1)) for a in arities]
 
-    want = shot_rng(seed, shot)
-    want.random(drawn)
     streams = ShotStreams(seed)
-    streams.shot(shot ^ 1).integers(3)  # a seat leaves nothing behind for the next
-    assert tail(streams.shot(shot, drawn=drawn)) == tail(want)
+    streams.shot(shot ^ 1).integers(3)  # leaves a kept half behind
+    assert tail(streams.shot(shot)) == tail(shot_rng(seed, shot))
 
 
 def _per_shot_histogram(probs, num_bits, shots, seed):
@@ -119,3 +119,61 @@ def test_sampler_equals_per_shot_oracle(seed, weights, shots):
 def test_rejects_non_uint64_indices():
     with pytest.raises(TypeError):
         first_uniforms(3, np.arange(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_SEEDS,
+    shots=_SHOTS,
+    counters=st.lists(st.integers(1, 300), min_size=1, max_size=4, unique=True),
+)
+@example(seed=0, shots=[0], counters=[1])
+@example(seed=(2**64 - 1, 3), shots=[2**64 - 2, 2**64 - 1], counters=[1, 2, 90, 91])
+@example(seed=7, shots=list(range(8)), counters=[200, 3])
+def test_philox_blocks_equal_random_raw(seed, shots, counters):
+    # Block (c, 0, s, 0) holds words 4(c - 1) to 4c - 1 of shot s's seated stream.
+    got = rng._philox(seed, np.array(shots, dtype=np.uint64), tuple(counters), True)
+    assert got.shape == (len(shots), len(counters), 4)
+    for row, s in zip(got, shots):
+        stream = np.random.Philox(key=philox_key(seed), counter=s * 2**128)
+        raw = stream.random_raw(4 * max(counters)).tolist()
+        assert [block.tolist() for block in row] == [raw[4 * c - 4 : 4 * c] for c in counters]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_SEEDS,
+    shots=_SHOTS,
+    drawn=st.integers(0, 40),
+    bounds=st.lists(st.sampled_from([3, 15, 63, 255, 1023, 4**11 - 1]), min_size=1, max_size=9),
+)
+@example(seed=0, shots=[0, 2**64 - 1], drawn=3, bounds=[3, 15, 63, 255, 1023])
+def test_vectorized_integers_equal_generator_integers(seed, shots, drawn, bounds):
+    # After ``drawn`` uniforms, the Pauli draws of a stream are its next 32-bit
+    # halves, low half first, run through NumPy's bounded-integer step.
+    draws = uint32_draws(seed, np.array(shots, dtype=np.uint64), drawn, len(bounds))
+    assert draws.shape == (len(shots), len(bounds))
+    for row, s in zip(draws, shots):
+        gen = shot_rng(seed, s)
+        gen.random(drawn)
+        values, rejected = lemire_integers(row, np.array(bounds))
+        assert not rejected.any()
+        assert values.tolist() == [int(gen.integers(b)) for b in bounds]
+
+
+@pytest.mark.parametrize("bound", [3, 15, 63, 255, 1023])
+def test_lemire_rejects_below_the_threshold(bound):
+    # A draw x with x * bound = t mod 2**32 is rejected exactly for t < 2**32 mod bound.
+    threshold = 2**32 % bound
+    inverse = pow(bound, -1, 2**32)
+    lows = list(range(threshold + 2))
+    draws = np.array([t * inverse % 2**32 for t in lows], dtype=np.uint64)
+    _, rejected = lemire_integers(draws, np.full(len(lows), bound))
+    assert rejected.tolist() == [t < threshold for t in lows]
+
+
+@pytest.mark.parametrize("shot_index", [-1, 2**64, 2**70])
+def test_shot_rng_rejects_shots_outside_the_stream_range(shot_index):
+    # Shot s owns counter word 2; from 2**64 on it would spill into word 3.
+    with pytest.raises(ValueError, match=r"shot_index must be in \[0, 2\*\*64\)"):
+        shot_rng(3, shot_index)

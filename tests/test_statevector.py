@@ -169,6 +169,25 @@ class TestSampling:
         assert np.cumsum(probs)[-1] == u
         assert invert_cdf(probs, u) == 9
 
+    def test_row_stacked_inversion_equals_each_row(self, monkeypatch):
+        # Zero entries repeat CDF values and every CDF entry is also a uniform,
+        # so ties are covered; the cumsum of ten 0.1s ends short of 1.  Each
+        # row but one inverts every uniform, and one row inverts none.
+        tables = (
+            np.array([[0.0, 0.5, 0.0, 0.5], [0.25] * 4, [0.3] * 4, [0.1, 0.2, 0.3, 0.4]]),
+            np.array([np.full(10, 0.1), np.eye(10)[3], np.eye(10)[9]]),
+        )
+        for table in tables:
+            u = np.concatenate([np.cumsum(table, axis=1).reshape(-1), [0.0, 0.3, 1 - 2.0**-53]])
+            u = u[u < 1.0]
+            counts = np.full(len(table), len(u))
+            counts[-2] = 0
+            want = [int(invert_cdf(law, x)) for law, k in zip(table, counts) for x in u[:k]]
+            stacked = np.concatenate([u[:k] for k in counts])
+            assert invert_cdf(table, stacked, counts).tolist() == want
+            monkeypatch.setattr(statevector, "_CDF_ENTRIES", 3 * table.shape[1])  # 3 shots a chunk
+            assert invert_cdf(table, stacked, counts).tolist() == want
+
 
 class TestShotBlocks:
     PROBS = np.array([0.05, 0.25, 0.3, 0.4])
