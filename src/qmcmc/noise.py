@@ -19,15 +19,16 @@ walks the shots in the blocks of ``statevector.shot_block_counts``, the
 noiseless sampler's driver.  Within a shot block it draws every shot's fault
 pattern, the tuple of its ``(site, pauli)`` events, and evolves each distinct
 pattern once; most shots share the fault-free pattern.  Shots are drawn in
-groups of ``_DRAW_BLOCK``: every shot of a group fills one row of a reused
-buffer with its ``1 + m + sites`` uniforms, and all the fault sites of the
-group are screened against the rates at once, so a fault-free shot costs no
-Python work past its draw.  The Pauli choices of the shots that fault come
-from vectorized Philox passes, ``_FAULT_BLOCK`` shots each, over the words
-that follow their uniforms (``rng.uint32_draws``) and NumPy's bounded-integer
-step (``rng.lemire_integers``), so each shot is seated once and its choices
-equal the sequential engine's ``Generator.integers`` draws; the rare draw
-that NumPy would reject sends its shot back to the sequential draw.
+groups of ``_DRAW_BLOCK``: every shot of a group is seated once and reads
+the raw words of its ``1 + m + sites`` uniforms and ``_EXTRA_WORDS`` more as
+one row of the group's array, and all the fault sites of the group are screened
+against the rates at once, as integers (``rng.raw_thresholds``), so a
+fault-free shot costs no Python work past its draw.  The Pauli choices of the
+shots that fault are the 32-bit halves of their extra words through NumPy's
+bounded-integer step (``rng.uint32_halves``, ``rng.lemire_integers``), equal
+to the sequential engine's ``Generator.integers`` draws; a shot that fires
+more sites than its extra words cover, or draws what NumPy would reject, is
+seated again and drawn as the sequential engine draws it.
 
 Patterns are evolved in the input frame: the gates act only on the ``2**n``
 basis columns of the prefix unitary, and a pattern's amplitudes change only
@@ -62,9 +63,11 @@ from ._apply import (
     Gate, apply_matrix, check_dense_bytes, evolve, is_plain_real, marginal_probabilities,
     serial_blocks, serial_product,
 )
-from .circuit import _FIXED, Circuit
+from .circuit import Circuit
 from .errors import SchemaError
-from .rng import ShotStreams, lemire_integers, shot_rng, uint32_draws
+from .rng import (
+    ShotStreams, lemire_integers, raw_thresholds, shot_rng, uint32_halves, uniforms,
+)
 from .statevector import (
     StateVector,
     _evolved,
@@ -76,14 +79,16 @@ from .statevector import (
     zero_state,
 )
 
-_PAULI_1Q = [_FIXED["x"], _FIXED["y"], _FIXED["z"]]
 # (-i)**k for k = 0..3: the phase of a Pauli string with k Y factors.
 _Y_PHASES = (1, -1j, -1, 1j)
 
 # Shots drawn into one buffer and screened for faults together.
 _DRAW_BLOCK = 64
-# Faulted shots whose Pauli draws are computed together; it bounds the
-# Philox work arrays and the Python objects that one pass holds.
+# Raw words each shot reads past its uniforms, two 32-bit Pauli draws per
+# word; a shot that fires more sites than that is seated again.
+_EXTRA_WORDS = 4
+# Faulted shots whose patterns are built together; it bounds the Python
+# objects that one pass holds.
 _FAULT_BLOCK = 512
 # Amplitude bytes of one batch of fault patterns evolved together.
 _BATCH_BYTES = 64 << 20
@@ -154,24 +159,6 @@ class NoiseModel:
 ZERO_NOISE = NoiseModel(0.0, 0.0, 0.0)
 
 
-@lru_cache(maxsize=1024)
-def _pauli_matrix(num_qubits: int, index: int) -> np.ndarray:
-    """index in 1..4^k-1 selects a non-identity Pauli string (base-4 digits).
-
-    Cached, so the returned array is read-only.
-    """
-    mats = []
-    for _ in range(num_qubits):
-        digit = index % 4
-        index //= 4
-        mats.append(np.eye(2, dtype=complex) if digit == 0 else _PAULI_1Q[digit - 1])
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    out.setflags(write=False)
-    return out
-
-
 def _sites(circuit: Circuit, model: NoiseModel) -> tuple[list[Gate], np.ndarray, np.ndarray]:
     """Resolved gates (one noise site each) with their arities and fault rates."""
     gates = list(circuit.gates())
@@ -217,8 +204,7 @@ def apply_trajectory(
     for site, (mat, targets, controls) in enumerate(gates):
         amps = apply_matrix(amps, mat, targets, controls, n)
         if site in events:
-            qubits = controls + targets
-            amps = apply_matrix(amps, _pauli_matrix(len(qubits), events[site]), qubits, (), n)
+            amps = _apply_paulis(amps[None], np.array([events[site]]), controls + targets, n)[0]
     state = from_amplitudes(amps)
     outcomes: dict[str, int] = {}
     if measured:
@@ -290,43 +276,44 @@ def _draw_patterns(
     """Outcome uniforms, readout flips and pattern row of shots ``first`` to
     ``last - 1``, and their distinct fault patterns in order of first appearance.
 
-    Shots are drawn in groups of ``_DRAW_BLOCK``: each shot's ``1 + m + sites``
-    uniforms fill one row of a reused buffer, and the whole group is compared
-    with the rates at once.  A fault-free shot takes the ``()`` pattern with
-    no further work.  The Pauli indices of the shots that fault come from
-    one vectorized pass over the rest of their streams per ``_FAULT_BLOCK``
-    of them (``_fault_patterns``), in the order ``_shot_events`` draws them,
-    so no shot is seated twice.  A shot with a draw that NumPy would reject
-    (about one in 2**32 draws) is re-seated and drawn by ``_shot_events``
-    itself, so every shot reads its stream as ``apply_trajectory`` does.
+    Shots are drawn in groups of ``_DRAW_BLOCK``: each shot is seated once and
+    the raw words of its ``1 + m + sites`` uniforms and ``_EXTRA_WORDS`` words
+    after them make one row of the group's array, which is compared with the
+    rates' word bounds at once.  A fault-free shot takes the ``()``
+    pattern with no further work.  The extra words of the shots that fault
+    give their Pauli indices, ``_FAULT_BLOCK`` shots at a time
+    (``_fault_patterns``), so every shot reads its stream as
+    ``apply_trajectory`` does.
     """
     shots = last - first
     width = 1 + m + len(rates)
     u_out = np.empty(shots)
     flips = np.empty((shots, m), dtype=bool)
-    fired_shots, fired_sites = [], []
+    flip_bound, site_bounds = raw_thresholds(p_meas), raw_thresholds(rates)
+    fired_shots, fired_sites, extra = [], [], []
     streams = ShotStreams(seed)
-    seat, draw = streams.shot, streams.generator.random
-    buffer = np.empty((min(shots, _DRAW_BLOCK), width))
+    seat, words = streams.shot, width + _EXTRA_WORDS
     for lo in range(0, shots, _DRAW_BLOCK):
-        block = buffer[: shots - lo]
-        for s, row in enumerate(block, first + lo):
-            seat(s)
-            draw(out=row)
-        hi = lo + len(block)
-        u_out[lo:hi] = block[:, 0]
-        np.less(block[:, 1 : 1 + m], p_meas, out=flips[lo:hi])
-        fired = np.flatnonzero(block[:, 1 + m :] < rates)
+        hi = min(lo + _DRAW_BLOCK, shots)
+        block = np.array(
+            [seat(s).bit_generator.random_raw(words) for s in range(first + lo, first + hi)]
+        )
+        u_out[lo:hi] = uniforms(block[:, 0])
+        np.less(block[:, 1 : 1 + m], flip_bound, out=flips[lo:hi])
+        fired = np.flatnonzero(block[:, 1 + m : width] < site_bounds)
         if len(fired):
             shot_in, site = np.divmod(fired, len(rates))
             fired_shots.append(shot_in + lo)
             fired_sites.append(site)
+            # shot_in is sorted; keep each faulted shot's extra words once.
+            extra.append(block[shot_in[np.diff(shot_in, prepend=-1) > 0], width:])
     rows: dict[tuple[tuple[int, int], ...], int] = {}
     pattern_of_shot = np.empty(shots, dtype=np.intp)
     faulted = np.zeros(shots, dtype=bool)
     free = 0  # the first fault-free shot
     if fired_shots:
         shot_of, site_of = np.concatenate(fired_shots), np.concatenate(fired_sites)
+        extra = np.concatenate(extra)  # row k holds faulted shot k's extra words
         faulted[shot_of] = True
         # The () pattern is numbered after the faulted shots before shot
         # ``free``, which are all the shots before it.
@@ -337,7 +324,7 @@ def _draw_patterns(
         for lo in range(0, len(faulted_shots), _FAULT_BLOCK):
             part = faulted_shots[lo : lo + _FAULT_BLOCK]
             patterns = _fault_patterns(
-                streams, seed, part.astype(np.uint64) + np.uint64(first),
+                streams, part + first, extra[lo : lo + len(part)],
                 site_of, bounds[lo : lo + len(part) + 1], m, rates, arities,
             )
             ids = []
@@ -353,38 +340,39 @@ def _draw_patterns(
 
 def _fault_patterns(
     streams: ShotStreams,
-    seed: int,
     shots: np.ndarray,
+    extra: np.ndarray,
     site_of: np.ndarray,
     bounds: np.ndarray,
     m: int,
     rates: np.ndarray,
     arities: np.ndarray,
 ) -> list[tuple[tuple[int, int], ...]]:
-    """Fault patterns of the faulted ``shots`` (absolute ``uint64`` indices),
-    shot ``k`` having fired the sites ``site_of[bounds[k] : bounds[k + 1]]``.
+    """Fault patterns of the faulted ``shots`` (absolute indices), shot ``k``
+    having fired the sites ``site_of[bounds[k] : bounds[k + 1]]`` and read
+    the raw words ``extra[k]`` after its uniforms.
 
-    Each shot's Pauli indices are its next 32-bit words after its
-    ``1 + m + sites`` uniforms through NumPy's bounded-integer step, one per
-    fired site in site order, just as ``_shot_events`` draws them.  A shot
-    with a draw that NumPy would reject is seated again and drawn by
-    ``_shot_events`` itself.
+    Each shot's Pauli indices are the 32-bit halves of those words through
+    NumPy's bounded-integer step, one per fired site in site order, just as
+    ``_shot_events`` draws them.  A shot that fired more sites than it has
+    halves, or with a draw that NumPy would reject, is seated again and drawn
+    by ``_shot_events`` itself.
     """
-    width = 1 + m + len(rates)
+    halves = uint32_halves(extra)
     span = slice(bounds[0], bounds[-1])
-    counts = np.diff(bounds)
-    nth = np.repeat(np.arange(len(shots)), counts)  # the shot of each fired site
-    draws = uint32_draws(seed, shots, width, int(counts.max()))
+    nth = np.repeat(np.arange(len(shots)), np.diff(bounds))  # the shot of each fired site
+    draw = np.arange(span.start, span.stop) - bounds[nth]  # its draw within that shot
+    spilled = draw >= halves.shape[1]
+    # A spilled draw reads half 0 in its place; its shot is drawn again below.
     paulis, rejected = lemire_integers(
-        draws[nth, np.arange(span.start, span.stop) - bounds[nth]],
-        4 ** arities[site_of[span]] - 1,
+        halves[nth, np.where(spilled, 0, draw)], 4 ** arities[site_of[span]] - 1
     )
     pairs = list(zip(site_of[span].tolist(), (paulis + 1).tolist()))
     edges = (bounds - span.start).tolist()
     patterns = [tuple(pairs[a:b]) for a, b in zip(edges, edges[1:])]
-    for k in dict.fromkeys(nth[rejected].tolist()):
+    for k in dict.fromkeys(nth[spilled | rejected].tolist()):
         rng = streams.shot(int(shots[k]))
-        patterns[k] = _shot_events(rng, rng.random(width)[1 + m :], rates, arities)
+        patterns[k] = _shot_events(rng, rng.random(1 + m + len(rates))[1 + m :], rates, arities)
     return patterns
 
 
@@ -438,7 +426,7 @@ def _apply_paulis(
     """Row r of ``amps`` (flat states) hit by the Pauli string ``paulis[r]`` on ``qubits``.
 
     A Pauli index's base-4 digit ``i`` (0 = I, 1 = X, 2 = Y, 3 = Z) acts on
-    ``qubits[i]``, as in ``_pauli_matrix``.  A Pauli string is a signed
+    ``qubits[i]``, the least significant digit on ``qubits[0]``.  A Pauli string is a signed
     permutation: with ``xy`` the index bits its X and Y flip and ``zy`` those
     its Z and Y sign, ``(P psi)[i] = (-i)**#Y (-1)**parity(i & zy) psi[i ^ xy]``.
     So every row takes one gather, one multiply by its phase in {1, -1, i, -i}

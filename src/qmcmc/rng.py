@@ -5,17 +5,16 @@ stream derived from ``(seed, shot_index)``.  Streams are counter-based, so
 results do not depend on the order in which shots are evaluated: evaluating
 shots concurrently, in batches, or one by one yields identical outcomes.
 
-Two ways read these streams.  One Philox4x64-10 implementation in NumPy
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
-``_philox``, evaluates the blocks of many shots at once.  Block ``c`` of shot
-``s`` has counter ``(c, 0, s, 0)``, so the lanes that do not depend on ``s``
-in the first two rounds are computed once per counter rather than per shot,
-with every output bit unchanged.  ``first_uniforms`` returns the first
-``random()`` of each shot's stream, all the noiseless sampler needs, and
-``uint32_draws`` the 32-bit words after a shot's first uniforms, which
-``lemire_integers`` turns into the noisy engine's Pauli draws.
-``ShotStreams`` re-seats NumPy's own Philox generator per shot, for callers
-that draw many uniforms.
+Two ways read these streams.  ``ShotStreams`` re-seats NumPy's own Philox
+generator per shot, for callers that read many words of each stream; the
+noisy engine reads all of a shot's words in one ``random_raw`` call and
+turns them into uniforms (``uniforms``), fault screens (``raw_thresholds``)
+and bounded Pauli draws (``uint32_halves`` and ``lemire_integers``), each
+equal to what the ``Generator`` would return.  ``first_uniforms`` returns
+the first ``random()`` of many shots at once, all the noiseless sampler
+needs, from one Philox4x64-10 implementation in NumPy (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), ``_philox``, which
+computes word 0 of each shot's first block alone.
 
 A seed is an int >= 0 or a non-empty tuple of them; ``philox_key`` turns it
 into the 128-bit key that ``np.random.SeedSequence`` would give, bit for bit,
@@ -115,40 +114,44 @@ def first_uniforms(seed, shots: np.ndarray) -> np.ndarray:
 
     Equal, bit for bit, to ``shot_rng(seed, s).random()`` for every ``s``.
     A seated stream has counter ``(0, 0, s, 0)``; its first draw increments
-    the counter and keeps word 0 of the Philox4x64-10 block
-    ``(1, 0, s, 0)`` under ``philox_key(seed)``, as ``(word0 >> 11) * 2**-53``.
-    ``shots`` must be a ``uint64`` array.  ``_philox`` computes that word
-    alone: 17 of the 20 high products and 16 of the 20 low products per shot.
+    the counter and reads word 0 of the Philox4x64-10 block ``(1, 0, s, 0)``
+    under ``philox_key(seed)``, which ``_philox`` computes alone.  ``shots``
+    must be a ``uint64`` array.
     """
     if shots.dtype != np.uint64:
         raise TypeError(f"shot indices must be uint64, got {shots.dtype}")
-    word0 = _philox(seed, shots, (1,), all_words=False)
-    word0 >>= _U11
-    return word0.reshape(shots.shape).astype(np.float64) * 2.0**-53
+    return uniforms(_philox(seed, shots)).reshape(shots.shape)
 
 
-def uint32_draws(seed, shots: np.ndarray, drawn: int, count: int) -> np.ndarray:
-    """The next ``count`` 32-bit draws of each shot's stream after ``drawn``
-    64-bit words, as a ``(len(shots), count)`` ``uint64`` array.
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of each raw 64-bit word: ``(w >> 11) * 2**-53``."""
+    return (words >> _U11) * 2.0**-53
 
-    These are the words that ``Generator.integers`` reads on
-    ``shot_rng(seed, s)`` after ``drawn`` ``random()`` calls (each of which
-    reads one word).  NumPy splits a word into its low half, drawn first,
-    and its high half, kept for the next 32-bit draw; doubles do not touch
-    that kept half, and a seated stream starts without one.  So draw ``j``
-    is a half of word ``drawn + j // 2``, of the Philox block
-    ``((drawn + j // 2) // 4 + 1, 0, s, 0)``.  ``shots`` must be a ``uint64``
-    array and ``count`` at least 1; ``_philox`` holds eight work arrays of
-    ``len(shots)`` words per block, so the caller bounds ``len(shots)``.
+
+def raw_thresholds(rates) -> np.ndarray:
+    """The ``uint64`` bound ``B`` of each rate in ``[0, 1)``, such that a raw
+    word ``w`` has ``uniforms(w) < rate`` exactly when ``w < B``.
+
+    ``(w >> 11) * 2**-53 < rate`` holds iff the integer ``w >> 11`` lies below
+    ``rate * 2**53`` (exact: a power-of-two scale), that is below
+    ``T = ceil(rate * 2**53)``, iff ``w < T << 11``.  ``T`` is at most
+    ``2**53 - 1`` for a rate below 1, so ``B`` fits in 64 bits.
     """
-    words = (count + 1) // 2
-    skip = drawn % 4
-    counters = range(drawn // 4 + 1, (drawn + words - 1) // 4 + 2)
-    stream = _philox(seed, shots, counters, all_words=True).reshape(len(shots), -1)
-    stream = stream[:, skip : skip + words]
-    out = np.empty((len(shots), count), dtype=np.uint64)
-    np.bitwise_and(stream, _LOW32, out=out[:, 0::2])
-    np.right_shift(stream[:, : count // 2], _U32, out=out[:, 1::2])
+    return np.ceil(np.asarray(rates, dtype=np.float64) * 2.0**53).astype(np.uint64) << _U11
+
+
+def uint32_halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit draws that ``Generator.integers`` reads from the raw
+    ``words`` of a seated stream, ``(..., 2 * W)`` for ``(..., W)`` words.
+
+    NumPy splits a word into its low half, drawn first, and its high half,
+    kept for the next 32-bit draw.  Doubles and raw words do not touch that
+    kept half, and a seated stream starts without one, so the draws after a
+    shot's uniforms are the halves of its next words, low half first.
+    """
+    out = np.empty(words.shape[:-1] + (2 * words.shape[-1],), dtype=np.uint64)
+    np.bitwise_and(words, _LOW32, out=out[..., 0::2])
+    np.right_shift(words, _U32, out=out[..., 1::2])
     return out
 
 
@@ -168,55 +171,45 @@ def lemire_integers(draws: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, n
     return m >> _U32, (m & _LOW32) < (np.uint64(1 << 32) - bound) % bound
 
 
-def _philox(
-    seed, shots: np.ndarray, counters: range | tuple[int, ...], all_words: bool
-) -> np.ndarray:
-    """Philox4x64-10 blocks ``(c, 0, s, 0)`` under ``philox_key(seed)`` for each
-    shot ``s`` and counter ``c``: the ``(len(shots), len(counters), 4)`` words,
-    or word 0 alone as ``(len(shots), len(counters))``.
+def _philox(seed, shots: np.ndarray) -> np.ndarray:
+    """Word 0 of the Philox4x64-10 block ``(1, 0, s, 0)`` under
+    ``philox_key(seed)`` for each shot ``s`` of the ``uint64`` array ``shots``.
 
-    ``shots`` is a ``uint64`` array and ``counters`` holds ints in
-    ``[0, 2**64)``.  The counter words ``c1`` and ``c3`` are 0 and ``c0``
-    does not depend on the shot, so the lanes that do not depend on ``s`` in
-    the first two rounds are not computed per shot.  Round 1
-    leaves ``(hi(M1 s) ^ k0, lo(M1 s), hi(M0 c) ^ k1, lo(M0 c))``: lanes 0
-    and 1 per shot, lanes 2 and 3 per counter, in exact integers.  Round 2
-    multiplies lane 2 by ``M1`` per counter and lane 0 by ``M0`` per shot.
-    Rounds 3 to 9 (and 10 for all words) run on every ``(shot, counter)``
-    pair.  Every computed word is the one the full rounds give.
+    The counter words ``c0 = 1``, ``c1 = 0`` and ``c3 = 0`` do not depend on
+    the shot, so neither do round 1's lanes 2 and 3, ``hi(M0 c0) ^ k1 = k1``
+    and ``lo(M0 c0) = M0``, nor round 2's product of lane 2, ``M1 k1``: they are
+    computed once, in exact integers.  Round 1 computes lanes 0 and 1,
+    ``(hi(M1 s) ^ k0, lo(M1 s))``, per shot, and round 2 multiplies lane 0 by
+    ``M0``.  Rounds 3 to 9 run on every shot, and round 10 computes word 0
+    alone: 17 of the 20 high products and 16 of the 20 low products per shot.
+    Every computed word is the one the full rounds give.
     """
     # Key of each round: the seed key plus r Weyl increments, wrapping mod 2**64.
     keys = philox_key(seed) + np.arange(_PHILOX_ROUNDS, dtype=np.uint64)[:, None] * _PHILOX_WEYL
-    # Round 1's lanes 2 and 3 and round 2's product of lane 2, per counter.
-    m0, m1 = int(_PHILOX_M0), int(_PHILOX_M1)
     (_, k1), (k0r2, k1r2) = keys[:2].tolist()
-    lanes = []
-    for c in counters:
-        hi_c, lo_c = divmod(m0 * c, 1 << 64)
-        hi_a, lo_a = divmod(m1 * (hi_c ^ k1), 1 << 64)
-        lanes.append((hi_a ^ k0r2, lo_a, lo_c ^ k1r2))
-    lane0, lane1, lane2 = np.array(lanes, dtype=np.uint64).T
+    hi_a, lo_a = divmod(int(_PHILOX_M1) * k1, 1 << 64)
+    lane0, lane1, lane2 = np.array([hi_a ^ k0r2, lo_a, int(_PHILOX_M0) ^ k1r2], dtype=np.uint64)
     # The eight work arrays share one buffer.  Past about 2,000 shots glibc
     # maps a buffer this size and, once it is freed, raises its mmap and trim
     # thresholds above it, so the heap no longer shrinks after every call and
     # regrows, a page fault per 4 KiB, on the next.
-    c0, c1, c2, c3, spare, *scratch = np.empty((8, len(shots), len(counters)), dtype=np.uint64)
-    # The per-shot lanes of rounds 1 and 2 live in the first column.
-    x0, x1, hi_x0, *x_scratch = (a[:, :1] for a in (c1, c3, spare, *scratch))
-    s = shots.reshape(-1, 1)
+    c0, c1, c2, c3, spare, *scratch = np.empty((8, shots.size), dtype=np.uint64)
+    # Round 1's per-shot lanes live in c1 and c3 until round 2 has read them.
+    x0, x1 = c1, c3
+    s = shots.reshape(-1)
     with np.errstate(over="ignore"):
         # Round 1, per-shot lanes: x0 = hi(M1 s) ^ k0, x1 = lo(M1 s).
-        _mulhi(s, _PHILOX_M1, x0, x_scratch)
+        _mulhi(s, _PHILOX_M1, x0, scratch)
         x0 ^= keys[0, 0]
         np.multiply(s, _PHILOX_M1, out=x1)
         # Round 2: (x1 ^ hi(M1 A) ^ k0', lo(M1 A), hi(M0 x0) ^ B ^ k1', lo(M0 x0)),
         # with A, B round 1's lanes 2 and 3.
         np.bitwise_xor(x1, lane0, out=c0)
-        _mulhi(x0, _PHILOX_M0, hi_x0, x_scratch)
-        np.bitwise_xor(hi_x0, lane2, out=c2)
+        _mulhi(x0, _PHILOX_M0, spare, scratch)
+        np.bitwise_xor(spare, lane2, out=c2)
         np.multiply(x0, _PHILOX_M0, out=c3)
         c1[:] = lane1
-        for k0, k1 in keys[2:] if all_words else keys[2:-1]:
+        for k0, k1 in keys[2:-1]:
             # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
             _mulhi(c0, _PHILOX_M0, spare, scratch)
             spare ^= c3
@@ -227,8 +220,6 @@ def _philox(
             c3 ^= k0
             c2 *= _PHILOX_M1
             c0, c1, c2, c3, spare = c3, c2, spare, c0, c1
-        if all_words:
-            return np.stack((c0, c1, c2, c3), axis=-1)
         # Round 10, word 0 only: hi(M1 c2) ^ c1 ^ k0.
         _mulhi(c2, _PHILOX_M1, c0, scratch)
         c0 ^= c1
@@ -263,13 +254,12 @@ class ShotStreams:
     shot; ``shot(s)`` yields draws identical to ``shot_rng(seed, s)``.  The
     returned generator is shared, so finish one shot before seating the next.
     The noisy trajectory engine is its only batch caller.  It seats each
-    shot once and draws the shot's ``1 + m + sites`` uniforms here, which
-    NumPy's C generator produces faster than ``first_uniforms``-style
-    vectorized rounds would.  The few 32-bit words after them, which a
-    faulted shot's Pauli draws read, come from ``uint32_draws`` without a
-    seat; only a shot with a draw that NumPy would reject is seated again.
-    A seat keeps no 32-bit half from the previous shot, so every seated
-    stream reads its words as ``shot_rng`` does.
+    shot once and reads every word it may need in one ``random_raw`` call:
+    the shot's ``1 + m + sites`` uniforms and a few words after them, whose
+    32-bit halves a faulted shot's Pauli draws read.  Only a shot whose draws
+    run past those words, or with a draw that NumPy would reject, is seated
+    again.  A seat keeps no 32-bit half from the previous shot, so every
+    seated stream reads its words as ``shot_rng`` does.
     """
 
     def __init__(self, seed):

@@ -24,6 +24,24 @@ def traced_peak(call) -> int:
     return tracemalloc.get_traced_memory()[1] - base
 
 
+_PAULIS_1Q = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1, -1]).astype(complex),
+)
+
+
+def pauli_matrix(num_qubits: int, index: int) -> np.ndarray:
+    """Dense Pauli string of ``index`` in 1..4**k - 1, a Kronecker product:
+    base-4 digit ``i`` (0 = I, 1 = X, 2 = Y, 3 = Z) is the factor on the
+    ``i``-th qubit, the first qubit most significant."""
+    out = np.eye(1, dtype=complex)
+    for i in range(num_qubits):
+        out = np.kron(out, _PAULIS_1Q[index >> 2 * i & 3])
+    return out
+
+
 def random_reversible_kernel(rng: np.random.Generator, n: int) -> tuple[MarkovKernel, Distribution]:
     """Reversible ergodic kernel from a symmetric positive flow matrix."""
     flow = rng.uniform(0.1, 1.0, size=(n, n))

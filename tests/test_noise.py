@@ -1,7 +1,6 @@
 import json
 import tracemalloc
 import warnings
-from itertools import product
 from math import pi
 
 import numpy as np
@@ -29,7 +28,7 @@ from qmcmc.rng import ShotStreams, shot_rng
 from qmcmc.statevector import sample, statevector_of, zero_state
 from qmcmc.transpile import transpile_native
 
-from conftest import noise_models, traced_peak
+from conftest import noise_models, pauli_matrix, traced_peak
 
 
 def _bell_circuit():
@@ -446,6 +445,25 @@ class TestVectorizedPauliDraws:
         assert hist == want
         assert handed == want_patterns
 
+    def test_shots_past_their_extra_words_are_seated_again(self, monkeypatch):
+        # With one extra word a shot reads two Pauli draws with its uniforms;
+        # a shot that fires a third site is seated again and drawn in full.
+        circ, model, shots, seed = _wide_sites_circuit(4), self.LOGICAL, 200, 3
+        _, _, rates = noise._sites(circ, model)
+        skip = 1 + len(circ.measured())
+        fired = [
+            np.count_nonzero(shot_rng(seed, s).random(skip + len(rates))[skip:] < rates)
+            for s in range(shots)
+        ]
+        spilled = [s for s in range(shots) if fired[s] >= 3]
+        assert spilled and {1, 2} <= set(fired)
+        monkeypatch.setattr(noise, "_EXTRA_WORDS", 1)
+        seats = _count_seats(monkeypatch)
+        hist, handed = _handed_patterns(monkeypatch, circ, model, shots, seed)
+        assert handed == _shot_by_shot_patterns(circ, model, shots, seed)
+        assert hist == _sequential_histogram(circ, model, shots, seed)
+        assert seats == list(range(shots)) + spilled
+
     def test_one_seat_per_shot(self, monkeypatch):
         circ, model, shots = _wide_sites_circuit(4), self.LOGICAL, 200
         seats = _count_seats(monkeypatch)
@@ -455,14 +473,14 @@ class TestVectorizedPauliDraws:
 
     def test_no_matrix_or_integer_draw_per_fault(self, monkeypatch):
         # Outside the rejection fallback: no Generator.integers (``_shot_events``),
-        # no dense Pauli matrix, and one kernel call per gate of the frame.
+        # and one kernel call per gate of the frame, so no Pauli goes through
+        # the kernel as a matrix.
         circ, model = _wide_sites_circuit(4), self.LOGICAL
         want = sample_with_noise(circ, model, 200, seed=6)
 
         def forbidden(*args):
             raise AssertionError("called outside the rejection fallback")
 
-        monkeypatch.setattr(noise, "_pauli_matrix", forbidden)
         monkeypatch.setattr(noise, "_shot_events", forbidden)
         kernel_calls = []
         apply_matrix_nd = _apply.apply_matrix_nd
@@ -495,7 +513,7 @@ def test_paulis_as_signed_permutations_equal_the_matrices(num_qubits):
         amps = gen.normal(size=(20, dim)) + 1j * gen.normal(size=(20, dim))
         got = noise._apply_paulis(amps, paulis, qubits, num_qubits)
         for row, pauli, want_of in zip(got, paulis, amps):
-            want = apply_matrix(want_of, noise._pauli_matrix(k, int(pauli)), qubits, (), num_qubits)
+            want = apply_matrix(want_of, pauli_matrix(k, int(pauli)), qubits, (), num_qubits)
             assert row.tobytes() == want.tobytes(), (qubits, pauli)
 
 
@@ -596,6 +614,34 @@ class TestShotBlocks:
         assert large <= 1.2 * small, (small, large)
 
 
+def test_trajectory_memory_does_not_grow_with_trajectories():
+    # An 8-qubit logical site fires one of 65,535 Paulis in about half the
+    # trajectories.  Each is applied as a signed permutation, and no dense
+    # 256 x 256 matrix (1 MiB) is kept per Pauli, so 40 trajectories peak
+    # like 4, up to the few KiB that the interpreter's free lists take.
+    qubits = [f"q{i}" for i in range(8)]
+    circ = Circuit(qubits)
+    for q in qubits:
+        circ.h(q)
+    circ.x("q7", controls=tuple(qubits[:7]))
+    circ.measure(*qubits)
+    circ.freeze()
+    model = NoiseModel(p1=0.0, p2=0.5, p_meas=0.0, attach="logical")
+
+    def trajectories(shots):
+        for s in shots:
+            apply_trajectory(circ, model, 1, s)
+
+    tracemalloc.start()
+    try:
+        trajectories(range(4))  # fills the kernel's plan caches
+        small = traced_peak(lambda: trajectories(range(4, 8)))
+        large = traced_peak(lambda: trajectories(range(8, 48)))
+    finally:
+        tracemalloc.stop()
+    assert large - small < 16 * 256**2, (small, large)
+
+
 def _sequential_final_state(gates, pattern, n):
     """Gate by gate with ``apply_matrix``, each fault Pauli right after its gate."""
     events = dict(pattern)
@@ -604,7 +650,7 @@ def _sequential_final_state(gates, pattern, n):
         amps = apply_matrix(amps, mat, targets, controls, n)
         if site in events:
             qubits = controls + targets
-            amps = apply_matrix(amps, noise._pauli_matrix(len(qubits), events[site]), qubits, (), n)
+            amps = apply_matrix(amps, pauli_matrix(len(qubits), events[site]), qubits, (), n)
     return amps
 
 
@@ -679,14 +725,6 @@ class TestInputFrameEngine:
         assert got == [(b * height, (height, dim)) for b in range(blocks)]
 
 
-_PAULI_BASIS = (
-    np.eye(2),
-    np.array([[0, 1], [1, 0]]),
-    np.array([[0, -1j], [1j, 0]]),
-    np.diag([1, -1]),
-)
-
-
 def _conjugate(rho: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """M rho M^dagger for an operator M on the given qubits (first = most significant)."""
     k = len(qubits)
@@ -717,11 +755,8 @@ def _exact_outcome_law(circ: Circuit, model: NoiseModel) -> np.ndarray:
         p = model.rate_for(len(qubits))
         if p > 0:
             faulted = np.zeros_like(rho)
-            for paulis in list(product(_PAULI_BASIS, repeat=len(qubits)))[1:]:
-                pauli = paulis[0]
-                for factor in paulis[1:]:
-                    pauli = np.kron(pauli, factor)
-                faulted += _conjugate(rho, pauli, qubits, n)
+            for index in range(1, 4 ** len(qubits)):
+                faulted += _conjugate(rho, pauli_matrix(len(qubits), index), qubits, n)
             rho = (1 - p) * rho + p / (4 ** len(qubits) - 1) * faulted
     measured = [circ.index_of(op.targets[0]) for op in circ.ops if op.kind == "measure"]
     law = np.real(np.diag(rho)).reshape((2,) * n)

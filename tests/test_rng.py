@@ -4,8 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmcmc import rng
+from qmcmc.noise import NoiseModel
 from qmcmc.rng import (
-    ShotStreams, first_uniforms, lemire_integers, philox_key, shot_rng, uint32_draws,
+    ShotStreams, first_uniforms, lemire_integers, philox_key, raw_thresholds, shot_rng,
+    uint32_halves, uniforms,
 )
 from qmcmc.statevector import invert_cdf, sample_from_probabilities
 
@@ -122,43 +124,63 @@ def test_rejects_non_uint64_indices():
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    seed=_SEEDS,
-    shots=_SHOTS,
-    counters=st.lists(st.integers(1, 300), min_size=1, max_size=4, unique=True),
-)
-@example(seed=0, shots=[0], counters=[1])
-@example(seed=(2**64 - 1, 3), shots=[2**64 - 2, 2**64 - 1], counters=[1, 2, 90, 91])
-@example(seed=7, shots=list(range(8)), counters=[200, 3])
-def test_philox_blocks_equal_random_raw(seed, shots, counters):
-    # Block (c, 0, s, 0) holds words 4(c - 1) to 4c - 1 of shot s's seated stream.
-    got = rng._philox(seed, np.array(shots, dtype=np.uint64), tuple(counters), True)
-    assert got.shape == (len(shots), len(counters), 4)
-    for row, s in zip(got, shots):
-        stream = np.random.Philox(key=philox_key(seed), counter=s * 2**128)
-        raw = stream.random_raw(4 * max(counters)).tolist()
-        assert [block.tolist() for block in row] == [raw[4 * c - 4 : 4 * c] for c in counters]
+@given(seed=_SEEDS, shots=_SHOTS)
+@example(seed=0, shots=[0])
+@example(seed=(2**64 - 1, 3), shots=[2**64 - 2, 2**64 - 1])
+def test_philox_blocks_equal_random_raw(seed, shots):
+    # Word 0 of block (1, 0, s, 0) is the first raw word of shot s's seated
+    # stream, all 64 bits of it; first_uniforms keeps only the top 53.
+    got = rng._philox(seed, np.array(shots, dtype=np.uint64))
+    want = [int(shot_rng(seed, s).bit_generator.random_raw()) for s in shots]
+    assert got.tolist() == want
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=_SEEDS,
-    shots=_SHOTS,
+    shot=st.integers(0, 2**64 - 1),
     drawn=st.integers(0, 40),
     bounds=st.lists(st.sampled_from([3, 15, 63, 255, 1023, 4**11 - 1]), min_size=1, max_size=9),
 )
-@example(seed=0, shots=[0, 2**64 - 1], drawn=3, bounds=[3, 15, 63, 255, 1023])
-def test_vectorized_integers_equal_generator_integers(seed, shots, drawn, bounds):
-    # After ``drawn`` uniforms, the Pauli draws of a stream are its next 32-bit
-    # halves, low half first, run through NumPy's bounded-integer step.
-    draws = uint32_draws(seed, np.array(shots, dtype=np.uint64), drawn, len(bounds))
-    assert draws.shape == (len(shots), len(bounds))
-    for row, s in zip(draws, shots):
-        gen = shot_rng(seed, s)
-        gen.random(drawn)
-        values, rejected = lemire_integers(row, np.array(bounds))
-        assert not rejected.any()
-        assert values.tolist() == [int(gen.integers(b)) for b in bounds]
+@example(seed=0, shot=2**64 - 1, drawn=3, bounds=[3, 15, 63, 255, 1023])
+def test_vectorized_integers_equal_generator_integers(seed, shot, drawn, bounds):
+    # The raw words of a seated stream are its uniforms, and after ``drawn``
+    # of them its Pauli draws are the 32-bit halves of the next words, low
+    # half first, run through NumPy's bounded-integer step.
+    words = shot_rng(seed, shot).bit_generator.random_raw(drawn + (len(bounds) + 1) // 2)
+    gen = shot_rng(seed, shot)
+    assert uniforms(words[:drawn]).tolist() == gen.random(drawn).tolist()
+    halves = uint32_halves(words[drawn:])
+    assert halves.shape == (2 * len(words[drawn:]),)
+    values, rejected = lemire_integers(halves[: len(bounds)], np.array(bounds))
+    assert not rejected.any()
+    assert values.tolist() == [int(gen.integers(b)) for b in bounds]
+
+
+_DEFAULT_RATES = [NoiseModel().p1, NoiseModel().p2, NoiseModel().p_meas, 5e-4, 5e-3]
+_NEAR_ONE = [1 - 2**-53, 1 - 2**-52, 1 - 1e-12, 0.999]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rate=st.one_of(
+        st.sampled_from([0.0, *_DEFAULT_RATES, *_NEAR_ONE]),
+        st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
+    offset=st.integers(-4096, 4096),
+)
+@example(rate=2**-53, offset=-1)
+@example(rate=1e-3, offset=-2048)
+def test_raw_threshold_screens_as_the_uniform(rate, offset):
+    # A word w lies below its rate's bound exactly when NumPy's random() of
+    # w, (w >> 11) * 2**-53, lies below the rate: checked at and around the
+    # bound T << 11, where a rounded-down T would differ.
+    bound = int(raw_thresholds(rate))
+    for w in {bound - 1, bound, bound + offset, (bound & ~2047) + offset}:
+        if 0 <= w < 2**64:
+            assert (w < bound) == ((w >> 11) * 2.0**-53 < rate), (w, bound)
+    assert raw_thresholds(np.array([rate, rate])).tolist() == [bound, bound]
 
 
 @pytest.mark.parametrize("bound", [3, 15, 63, 255, 1023])
